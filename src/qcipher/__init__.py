@@ -54,8 +54,10 @@ from .errors import (
 from .keyschedule import (
     CipherKey,
     Cnot,
+    CompiledCircuit,
     GateOp,
     SingleU,
+    compile_circuit,
     enumerate_keys,
     generate_key,
     inverse_circuit,

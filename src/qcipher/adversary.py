@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cipher import CipherBlock, PlainBlock, _apply_ops_inplace, encode_plaintext, encrypt_block
+from .cipher import CipherBlock, PlainBlock, _encrypt_amps, _invert_amps, encrypt_block
 from .errors import InputError, ResourceError
-from .keyschedule import CipherKey, enumerate_keys, inverse_circuit, key_circuit, keyspace_size
+from .keyschedule import CipherKey, compile_circuit, enumerate_keys, key_circuit, keyspace_size
 from .statevector import StateVector, fidelity, index_to_bits, measure_all
 
 BRUTE_FORCE_CAP = 10**6
@@ -80,8 +80,7 @@ def sampled_decrypt_bits(k: CipherKey, state: StateVector, rng: np.random.Genera
     """The receiver's physical read: inverse circuit, then one measurement."""
     if state.n != k.n:
         raise InputError(f"state has {state.n} qubits, key expects {k.n}")
-    amps = state.amps.copy()
-    _apply_ops_inplace(amps, k.n, inverse_circuit(k))
+    amps = _invert_amps(compile_circuit(key_circuit(k), k.n), state.amps)
     probs = np.abs(amps) ** 2
     probs /= probs.sum()
     return index_to_bits(int(rng.choice(probs.size, p=probs)), k.n)
@@ -107,6 +106,7 @@ def detection_experiment(
         raise InputError("trials must be >= 1")
     ciphertext = encrypt_block(k, p).state
     collision = collision_probability(ciphertext)
+    cc = compile_circuit(key_circuit(k), k.n)
 
     # Decode probabilities depend only on Eve's collapse outcome, so cache
     # the inverse-circuit distribution per observed basis state.
@@ -115,9 +115,7 @@ def detection_experiment(
     def _decode_probs(state: StateVector, bits_key: str | None) -> np.ndarray:
         if bits_key is not None and bits_key in decode_cache:
             return decode_cache[bits_key]
-        amps = state.amps.copy()
-        _apply_ops_inplace(amps, k.n, inverse_circuit(k))
-        probs = np.abs(amps) ** 2
+        probs = np.abs(_invert_amps(cc, state.amps)) ** 2
         probs /= probs.sum()
         if bits_key is not None:
             decode_cache[bits_key] = probs
@@ -187,10 +185,8 @@ def marginal_estimation_attack(
         raise InputError("samples must be >= 1")
     if p.n != k.n:
         raise InputError(f"plaintext length {p.n} does not match key block size {k.n}")
-    ops = key_circuit(k, through_step=1 if step1_only else 4)
-    amps = encode_plaintext(p.bits).amps.copy()
-    _apply_ops_inplace(amps, k.n, ops)
-    probs = np.abs(amps) ** 2
+    cc = compile_circuit(key_circuit(k, through_step=1 if step1_only else 4), k.n)
+    probs = np.abs(_encrypt_amps(cc, p.bits)) ** 2
     probs /= probs.sum()
     draws = rng.choice(probs.size, size=samples, p=probs)
     estimates = np.empty(k.n)

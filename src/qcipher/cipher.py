@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, IntegrityError
-from .keyschedule import CipherKey, SingleU, inverse_circuit, key_circuit
+from .keyschedule import CipherKey, CompiledCircuit, SingleU, compile_circuit, key_circuit
 from .statevector import (
     StateVector,
     _amps_body,
@@ -53,6 +54,8 @@ def xor_bits(a: str, b: str) -> str:
 
 
 def _apply_ops_inplace(amps: np.ndarray, n: int, ops, offset: int = 0) -> None:
+    # Gate by gate: the general simulator, used by mode 2's joint register
+    # and by the tests as the reference for the compiled path below.
     for op in ops:
         if isinstance(op, SingleU):
             _single_inplace(amps, n, op.qubit + offset, op.theta)
@@ -72,19 +75,61 @@ def encode_plaintext(bits: str) -> StateVector:
     return basis_state(len(bits), bits)
 
 
+# ---------------------------------------------------------------------------
+# The compiled path. On a basis input |x> the rotation layer yields the
+# product state sum_x prod_q u_q(x_q) |x>, and the CNOTs send |x> to |A x>.
+# Both loops below build their arrays by index doubling: appending qubit q
+# as the new least significant position keeps qubit 1 the most significant.
+
+def _basis_indices(cols: tuple[int, ...]) -> np.ndarray:
+    """``idx[x] = A x`` for every basis index x."""
+    idx = np.zeros(1, dtype=np.intp)
+    for col in cols:
+        idx = np.stack((idx, idx ^ col), axis=1).ravel()
+    return idx
+
+
+def _encrypt_amps(cc: CompiledCircuit, bits: str) -> np.ndarray:
+    """Amplitudes of the circuit applied to |bits>: one scatter of the
+    product state through A. They are real, so the array is float64 (a
+    scatter into complex128 costs three times as much). The values equal
+    the gate-by-gate simulator's, which forms the same products in the
+    same qubit order."""
+    v = np.ones(1)
+    for theta, bit in zip(cc.thetas, bits):
+        # U(theta)|0> = (cos, sin) and U(theta)|1> = (sin, -cos).
+        c, s = math.cos(theta), math.sin(theta)
+        a, b = (c, s) if bit == "0" else (s, -c)
+        v = np.stack((v * a, v * b), axis=1).ravel()
+    out = np.zeros(v.size)
+    out[_basis_indices(cc.cols)] = v
+    return out
+
+
+def _invert_amps(cc: CompiledCircuit, amps: np.ndarray) -> np.ndarray:
+    """The inverse circuit applied to ``amps``: one gather undoes A (the
+    amplitude at x comes from A x), then the self-inverse rotations run in
+    the reverse order, q = n..1, as in the reversed gate list."""
+    out = amps[_basis_indices(cc.cols)]
+    for q in range(cc.n, 0, -1):
+        _single_inplace(out, cc.n, q, cc.thetas[q - 1])
+    return out
+
+
 def encrypt_block(k: CipherKey, p: PlainBlock) -> CipherBlock:
     """Run the full key circuit on the encoded plaintext (deterministic)."""
     if p.n != k.n:
         raise InputError(f"plaintext length {p.n} does not match key block size {k.n}")
-    state = apply_circuit(encode_plaintext(p.bits), key_circuit(k))
-    return CipherBlock(state)
+    amps = _encrypt_amps(compile_circuit(key_circuit(k), k.n), p.bits)
+    return CipherBlock(StateVector(k.n, amps))
 
 
 def _read_basis_bits(amps: np.ndarray, n: int, what: str = "post-inverse state") -> str:
     probs = np.abs(amps) ** 2
     index = int(np.argmax(probs))
     impurity = 1.0 - float(probs[index])
-    if impurity > PURITY_TOL:
+    # Written so that a NaN impurity (from a NaN amplitude) fails too.
+    if not impurity <= PURITY_TOL:
         raise IntegrityError(
             f"{what} is not a computational basis state (impurity {impurity:.3g}); "
             "tampering, corruption, or a wrong key"
@@ -101,8 +146,7 @@ def decrypt_block(k: CipherKey, c: CipherBlock) -> PlainBlock:
     """
     if c.state.n != k.n:
         raise InputError(f"ciphertext has {c.state.n} qubits, key expects {k.n}")
-    out = c.state.amps.copy()
-    _apply_ops_inplace(out, k.n, inverse_circuit(k))
+    out = _invert_amps(compile_circuit(key_circuit(k), k.n), c.state.amps)
     return PlainBlock(_read_basis_bits(out, k.n))
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -66,11 +66,14 @@ def paired_downstream_qubits(n: int) -> tuple[int, ...]:
 
 
 def _as_int_tuple(values: object, name: str) -> tuple[int, ...]:
+    # Strict: a float or a bool is rejected, never truncated to an integer.
     try:
-        out = tuple(int(v) for v in values)  # type: ignore[union-attr]
-    except (TypeError, ValueError) as exc:
+        items = tuple(values)  # type: ignore[arg-type]
+    except TypeError as exc:
         raise InvalidKeyError(f"{name} must be a sequence of integers") from exc
-    return out
+    if any(not isinstance(v, (int, np.integer)) or isinstance(v, bool) for v in items):
+        raise InvalidKeyError(f"{name} must be a sequence of integers")
+    return tuple(int(v) for v in items)
 
 
 @dataclass(frozen=True)
@@ -103,9 +106,11 @@ class CipherKey:
         object.__setattr__(self, "theta_indices", theta)
 
         try:
-            pairs = tuple((int(d), int(u)) for d, u in self.step3_pairs)
-        except (TypeError, ValueError) as exc:
+            pairs = tuple(_as_int_tuple(pair, "step3_pairs entry") for pair in self.step3_pairs)
+        except TypeError as exc:
             raise InvalidKeyError("step3_pairs must be (downstream, upstream) pairs") from exc
+        if any(len(pair) != 2 for pair in pairs):
+            raise InvalidKeyError("step3_pairs must be (downstream, upstream) pairs")
         if sorted(d for d, _ in pairs) != list(paired_downstream_qubits(self.n)):
             raise InvalidKeyError("step3_pairs must cover each paired downstream qubit exactly once")
         if sorted(u for _, u in pairs) != list(upstream_qubits(self.n)):
@@ -124,9 +129,14 @@ class CipherKey:
             object.__setattr__(self, "mode2_pairing", pairing)
 
 
+def grid_angle(index: int, N: int) -> float:
+    """Angle in radians of grid point ``index`` on an ``N``-point grid."""
+    return 2.0 * math.pi * index / N
+
+
 def theta_value(k: CipherKey, q: int) -> float:
     """Angle in radians of the step-1 rotation on qubit ``q``."""
-    return 2.0 * math.pi * k.theta_indices[q - 1] / k.N
+    return grid_angle(k.theta_indices[q - 1], k.N)
 
 
 def _is_degenerate_index(index: int, N: int) -> bool:
@@ -136,8 +146,7 @@ def _is_degenerate_index(index: int, N: int) -> bool:
     # through that qubit. Both collapse the statistics the analysis suite
     # relies on, so indices near any multiple of pi/4 are resampled when an
     # alternative exists.
-    theta = 2.0 * math.pi * index / N
-    r = math.fmod(theta, math.pi / 4.0)
+    r = math.fmod(grid_angle(index, N), math.pi / 4.0)
     return min(r, math.pi / 4.0 - r) < DEGENERACY_GUARD_RAD
 
 
@@ -150,7 +159,7 @@ def _grid_fully_degenerate(N: int) -> bool:
 def generate_key(n: int, N: int, rng: np.random.Generator) -> CipherKey:
     """Draw a uniformly random key; deterministic for a seeded generator.
 
-    Theta indices within DEGENERACY_GUARD_RAD of a multiple of pi/2 are
+    Theta indices within DEGENERACY_GUARD_RAD of a multiple of pi/4 are
     resampled, unless the whole grid is degenerate (e.g. N = 4), in which
     case the raw draw is kept so that such grids remain usable.
     """
@@ -219,6 +228,51 @@ def inverse_circuit(k: CipherKey) -> list[GateOp]:
     reversal alone suffices.
     """
     return list(reversed(key_circuit(k)))
+
+
+@dataclass(frozen=True)
+class CompiledCircuit:
+    """A rotation layer followed by a CNOT network, as angles plus GF(2) columns.
+
+    The CNOTs map basis index x to A x over GF(2). ``cols[j]`` is column j
+    of A: the basis-index mask that input qubit j+1 maps onto (qubit 1 as
+    the most significant bit), so A x is the XOR of ``cols[j]`` over the
+    set bits of x. ``thetas[q-1]`` is the rotation angle on qubit q.
+    """
+
+    n: int
+    thetas: tuple[float, ...]
+    cols: tuple[int, ...]
+
+
+def compile_circuit(ops: Iterable[GateOp], n: int) -> CompiledCircuit:
+    """Compile a gate list of one rotation per qubit, then CNOTs only.
+
+    This is the shape of ``key_circuit(k, through_step)`` for every step
+    and of the analysis suite's random circuits; any other gate list
+    raises InputError. The columns of A are the unit vectors pushed
+    through the CNOTs, all at once: ``rows[m]`` is the mask of inputs
+    whose parity lands on qubit m+1, and a CNOT c->t XORs row c into row t.
+    """
+    ops = list(ops)
+    thetas: list[float | None] = [None] * n
+    for op in ops[:n]:
+        if not isinstance(op, SingleU) or not 1 <= op.qubit <= n or thetas[op.qubit - 1] is not None:
+            raise InputError(f"a compiled circuit opens with one rotation on each of qubits 1..{n}")
+        thetas[op.qubit - 1] = float(op.theta)
+    if None in thetas:
+        raise InputError(f"a compiled circuit opens with one rotation on each of qubits 1..{n}")
+    rows = [1 << (n - q) for q in range(1, n + 1)]
+    for op in ops[n:]:
+        if not isinstance(op, Cnot):
+            raise InputError("a compiled circuit continues with CNOTs only")
+        if not (1 <= op.control <= n and 1 <= op.target <= n) or op.control == op.target:
+            raise InputError(f"gate qubits {op.control}->{op.target} invalid for 1..{n}")
+        rows[op.target - 1] ^= rows[op.control - 1]
+    cols = tuple(
+        sum(1 << (n - 1 - m) for m in range(n) if rows[m] >> (n - 1 - j) & 1) for j in range(n)
+    )
+    return CompiledCircuit(n, tuple(thetas), cols)  # type: ignore[arg-type]
 
 
 class KeyspaceSize(NamedTuple):
@@ -305,11 +359,7 @@ def key_from_json(text: str) -> CipherKey:
     order = obj["step4_upstream_order"]
     if not isinstance(theta, list) or not isinstance(pairs, list) or not isinstance(order, list):
         raise InvalidKeyError("theta, step3_pairs, and step4_upstream_order must be lists")
-    try:
-        pair_tuples = tuple((int(p[0]), int(p[1])) for p in pairs if len(p) == 2)
-    except (TypeError, ValueError, IndexError) as exc:
-        raise InvalidKeyError("step3_pairs entries must be [downstream, upstream] pairs") from exc
-    if len(pair_tuples) != len(pairs):
+    if any(not isinstance(p, list) or len(p) != 2 for p in pairs):
         raise InvalidKeyError("step3_pairs entries must be [downstream, upstream] pairs")
     pairing = obj.get("mode2_pairing")
     if pairing is not None and not isinstance(pairing, list):
@@ -318,7 +368,7 @@ def key_from_json(text: str) -> CipherKey:
         n,
         N,
         tuple(theta),
-        pair_tuples,
+        tuple(tuple(p) for p in pairs),
         tuple(order),
         None if pairing is None else tuple(pairing),
         version,

@@ -28,6 +28,7 @@ from .cipher import (
     CipherBlock,
     PlainBlock,
     _apply_ops_inplace,
+    _invert_amps,
     _read_basis_bits,
     cipherblock_from_obj,
     encode_plaintext,
@@ -35,7 +36,7 @@ from .cipher import (
     xor_bits,
 )
 from .errors import InputError, ResourceError
-from .keyschedule import CipherKey, Cnot, inverse_circuit, key_circuit
+from .keyschedule import CipherKey, Cnot, compile_circuit, inverse_circuit, key_circuit
 from .statevector import (
     MAX_QUBITS,
     StateVector,
@@ -131,10 +132,13 @@ def mode1_encrypt(
     """Chain blocks through measured IVs.
 
     For each block: XOR with the current chaining value, encrypt, then
-    rebuild the same ciphertext from the known classical inputs (a
-    legitimate re-encryption, not a clone) and measure it. The measured
-    bits become the next chaining value and the collapsed copy ships as
-    the IV carrier.
+    measure a second copy of the ciphertext. Physically the sender
+    rebuilds that copy from the known classical inputs (a legitimate
+    re-encryption, not a clone); encryption is deterministic and the
+    simulated state is immutable, so measuring the one encrypted state
+    gives the same outcome from the same generator. The measured bits
+    become the next chaining value and the collapsed copy ships as the IV
+    carrier.
     """
     if cfg.mode is not Mode.MEASURED:
         raise InputError("mode1_encrypt requires a measured-IV config")
@@ -145,11 +149,9 @@ def mode1_encrypt(
     out: list[CipherBlock] = []
     carriers: list[StateVector] = []
     for i, p in enumerate(blocks):
-        mixed = xor_bits(p.bits, iv)
-        sealed = encrypt_block(k, PlainBlock(mixed))
-        out.append(CipherBlock(sealed.state, i, Mode.MEASURED.value))
-        copy = encrypt_block(k, PlainBlock(mixed))
-        outcome = measure_all(copy.state, rng)
+        sealed = encrypt_block(k, PlainBlock(xor_bits(p.bits, iv))).state
+        out.append(CipherBlock(sealed, i, Mode.MEASURED.value))
+        outcome = measure_all(sealed, rng)
         carriers.append(outcome.collapsed)
         iv = outcome.bits
     return Transmission(Mode.MEASURED, k.n, len(blocks), tuple(out), tuple(carriers))
@@ -161,12 +163,11 @@ def mode1_decrypt(k: CipherKey, t: Transmission, cfg: ModeConfig) -> list[PlainB
         raise InputError("mode1_decrypt requires a measured-IV transmission")
     if cfg.mode is not Mode.MEASURED or cfg.n != k.n or t.n != k.n:
         raise InputError("config, key, and transmission block sizes must agree")
+    cc = compile_circuit(key_circuit(k), k.n)
     iv = cfg.iv
     out: list[PlainBlock] = []
     for i in range(t.m):
-        inner = t.blocks[i]
-        amps = inner.state.amps.copy()
-        _apply_ops_inplace(amps, k.n, inverse_circuit(k))
+        amps = _invert_amps(cc, t.blocks[i].state.amps)
         mixed = _read_basis_bits(amps, k.n, f"block {i}")
         out.append(PlainBlock(xor_bits(mixed, iv)))
         iv = _read_basis_bits(t.iv_carriers[i].amps, k.n, f"IV carrier {i}")

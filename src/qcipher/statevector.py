@@ -44,7 +44,9 @@ class StateVector:
         if amps.shape != (1 << self.n,):
             raise InputError(f"expected {1 << self.n} amplitudes, got {amps.shape[0]}")
         norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > NORM_TOL:
+        # A NaN or infinite amplitude makes the norm NaN or inf, which fails
+        # this test (written so that NaN compares as a failure).
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise InputError(f"squared norm {norm!r} deviates from 1 beyond {NORM_TOL}")
         amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
@@ -208,8 +210,9 @@ def _state_from_fields(n: object, amps_field: object) -> StateVector:
         raise InputError('each "amps" entry must be an [re, im] pair')
     amps = pairs[:, 0] + 1j * pairs[:, 1]
     norm = float(np.sum(np.abs(amps) ** 2))
-    if abs(norm - 1.0) > NORM_TOL:
-        # Well-formed but non-normalized payloads are treated as corruption.
+    if not abs(norm - 1.0) <= NORM_TOL:
+        # Well-formed but non-normalized or non-finite payloads are treated
+        # as corruption.
         raise IntegrityError(f"statevector payload norm {norm!r} deviates from 1")
     return StateVector(n, amps)
 

@@ -7,6 +7,7 @@ import pytest
 from oracles import classical_cnot_bits, dense_apply
 from qcipher.cipher import (
     CipherBlock,
+    _read_basis_bits,
     PlainBlock,
     cipherblock_from_json,
     cipherblock_to_json,
@@ -202,3 +203,17 @@ def test_cipherblock_json_rejects_bad_fields():
         cipherblock_from_json('{"n": 1, "amps": [[1, 0], [0, 0]]}')
     with pytest.raises(InputError):
         cipherblock_from_json('{"n": 1, "amps": [[1, 0], [0, 0]], "block_index": -1, "mode": "m1"}')
+
+
+def test_cipherblock_json_rejects_nan_amplitude():
+    # The NaN norm must fail the norm check instead of slipping past it.
+    k = generate_key(4, 256, np.random.default_rng(9))
+    obj = json.loads(cipherblock_to_json(encrypt_block(k, PlainBlock("1010"))))
+    obj["amps"][0][0] = float("nan")
+    with pytest.raises(IntegrityError):
+        cipherblock_from_json(json.dumps(obj))
+
+
+def test_purity_read_rejects_nan():
+    with pytest.raises(IntegrityError):
+        _read_basis_bits(np.array([math.nan, 0, 0, 0], dtype=complex), 2)

@@ -211,3 +211,43 @@ def test_keyspace_command(capsys):
     assert obj["keyspace"] == "262144"
     assert main(["keyspace", "--n", "8", "--N", "256"]) == 0
     assert "73.17" in capsys.readouterr().out
+
+
+def test_decrypt_nan_tampered_payload_exits_2(keyfile, tmp_path, capsys):
+    data = tmp_path / "msg.bin"
+    data.write_bytes(b"\xaa")
+    enc = tmp_path / "t.json"
+    main(["encrypt", "--key", str(keyfile), "--mode", "m1", "--in", str(data), "--out", str(enc)])
+    obj = json.loads(enc.read_text())
+    obj["payload"][0]["amps"][0][0] = float("nan")
+    enc.write_text(json.dumps(obj))
+    out = tmp_path / "o.bin"
+    assert main(["decrypt", "--key", str(keyfile), "--in", str(enc), "--out", str(out)]) == 2
+    assert "integrity error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_key_file_with_float_or_bool_theta_exits_1(keyfile, tmp_path, capsys):
+    obj = json.loads(keyfile.read_text())
+    obj["theta"][:2] = [1.9, True]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    rc = main(["analyze", "--key", str(bad), "--kind", "confusion", "--out", str(tmp_path / "r.json")])
+    assert rc == 1
+    assert "theta" in capsys.readouterr().err
+
+
+def test_attack_brute_uses_key_file(tmp_path, capsys):
+    # The default --n 8 --N 256 would exceed the enumeration cap (exit 3);
+    # the key file's n = 2, N = 4 must be used instead.
+    path = tmp_path / "key.json"
+    assert main(["keygen", "--n", "2", "--N", "4", "--seed", "5", "--out", str(path)]) == 0
+    obj = json.loads(path.read_text())
+    obj["mode2_pairing"] = [2, 1]
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["attack", "--kind", "brute", "--key", str(path), "--plaintext", "10"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["params"]["n"] == 2 and report["params"]["N"] == 4
+    assert report["params"]["enumerated"] == 16
+    assert report["counts"]["true_key_found"] == 1

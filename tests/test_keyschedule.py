@@ -291,3 +291,25 @@ def test_key_json_rejects_garbage():
         key_from_json("{truncated")
     with pytest.raises(InvalidKeyError):
         key_from_json("[1, 2, 3]")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("theta", [1.9, True]),
+        ("theta", [1, True]),
+        ("theta", [1.0, 2]),
+        ("step3_pairs", [[2, 1.0]]),
+        ("step3_pairs", [[True, 1]]),
+        ("step4_upstream_order", [1.0]),
+        ("step4_upstream_order", [True]),
+        ("mode2_pairing", [1.0, 2]),
+        ("mode2_pairing", [True, 2]),
+    ],
+)
+def test_key_json_rejects_non_integer_entries(field, value):
+    # Each value would load as a valid n = 2, N = 4 key if truncated by int().
+    obj = json.loads(key_to_json(generate_key(2, 4, np.random.default_rng(13))))
+    obj[field] = value
+    with pytest.raises(InvalidKeyError):
+        key_from_json(json.dumps(obj))

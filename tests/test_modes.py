@@ -6,6 +6,7 @@ import pytest
 from oracles import reduced_purity
 from qcipher.cipher import PlainBlock, encrypt_block, xor_bits
 from qcipher.errors import InputError, IntegrityError, ResourceError
+from qcipher import modes
 from qcipher.keyschedule import generate_key
 from qcipher.modes import (
     Mode,
@@ -20,7 +21,7 @@ from qcipher.modes import (
     transmission_from_json,
     transmission_to_json,
 )
-from qcipher.statevector import basis_state, fidelity, marginals
+from qcipher.statevector import basis_state, fidelity, marginals, measure_all
 
 
 def key6(seed=0):
@@ -284,3 +285,27 @@ def test_transmission_invariants():
         Transmission(Mode.ENTANGLING, 6, 5, joint=None)
     with pytest.raises(InputError):
         Transmission(Mode.ENTANGLING, 2, 2, joint=basis_state(2, "00"))
+
+
+def test_mode1_encrypts_each_block_once(monkeypatch):
+    k = key6(4)
+    blocks = blocks_of("101100", "010011", "111000", "000111")
+    cfg = ModeConfig(Mode.MEASURED, "011010")
+    calls = []
+
+    def counting(key, p):
+        calls.append(p.bits)
+        return encrypt_block(key, p)
+
+    monkeypatch.setattr(modes, "encrypt_block", counting)
+    t = mode1_encrypt(k, blocks, cfg, np.random.default_rng(9))
+    assert len(calls) == len(blocks)
+
+    rng = np.random.default_rng(9)
+    iv = cfg.iv
+    for i, p in enumerate(blocks):
+        sealed = encrypt_block(k, PlainBlock(xor_bits(p.bits, iv))).state
+        outcome = measure_all(sealed, rng)
+        assert np.array_equal(t.blocks[i].state.amps, sealed.amps)
+        assert np.array_equal(t.iv_carriers[i].amps, outcome.collapsed.amps)
+        iv = outcome.bits

@@ -322,3 +322,14 @@ def test_state_json_rejects_malformed():
 def test_state_json_norm_violation_is_integrity_error():
     with pytest.raises(IntegrityError):
         state_from_json('{"n": 1, "amps": [[0.7, 0], [0.1, 0]]}')
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_statevector_rejects_non_finite_amplitudes(bad):
+    with pytest.raises(InputError):
+        StateVector(2, [bad, 0, 0, 0])
+
+
+def test_state_json_rejects_nan_amplitude():
+    with pytest.raises(IntegrityError):
+        state_from_json('{"n": 1, "amps": [[NaN, 0], [0, 0]]}')
