@@ -53,20 +53,17 @@ def xor_bits(a: str, b: str) -> str:
     return index_to_bits(int(a, 2) ^ int(b, 2), len(a))
 
 
-def _apply_ops_inplace(amps: np.ndarray, n: int, ops, offset: int = 0) -> None:
-    # Gate by gate: the general simulator, used by mode 2's joint register
-    # and by the tests as the reference for the compiled path below.
+def apply_circuit(s: StateVector, ops, offset: int = 0) -> StateVector:
+    """Apply a gate list in order; ``offset`` shifts all qubit indices.
+
+    Gate by gate: the general simulator, which the tests use as the
+    reference for the compiled path below."""
+    out = s.amps.copy()
     for op in ops:
         if isinstance(op, SingleU):
-            _single_inplace(amps, n, op.qubit + offset, op.theta)
+            _single_inplace(out, s.n, op.qubit + offset, op.theta)
         else:
-            _cnot_inplace(amps, n, op.control + offset, op.target + offset)
-
-
-def apply_circuit(s: StateVector, ops, offset: int = 0) -> StateVector:
-    """Apply a gate list in order; ``offset`` shifts all qubit indices."""
-    out = s.amps.copy()
-    _apply_ops_inplace(out, s.n, ops, offset)
+            _cnot_inplace(out, s.n, op.control + offset, op.target + offset)
     return StateVector(s.n, out)
 
 
@@ -106,6 +103,23 @@ def _encrypt_amps(cc: CompiledCircuit, bits: str) -> np.ndarray:
     return out
 
 
+def _encrypt_table(cc: CompiledCircuit) -> np.ndarray:
+    """The 2^n x 2^n table whose row z is ``_encrypt_amps`` of input z.
+
+    The Kronecker product of the rotations ``[[c, s], [s, -c]]`` holds the
+    product state of input z in row z, its factors multiplied in the same
+    order as in ``_encrypt_amps``; scattering its columns through A then
+    gives rows equal to ``_encrypt_amps`` value for value. The table is
+    real orthogonal: its transpose is the circuit's unitary."""
+    prod = np.ones((1, 1))
+    for theta in cc.thetas:
+        c, s = math.cos(theta), math.sin(theta)
+        prod = np.kron(prod, np.array([[c, s], [s, -c]]))
+    out = np.empty_like(prod)
+    out[:, _basis_indices(cc.cols)] = prod
+    return out
+
+
 def _invert_amps(cc: CompiledCircuit, amps: np.ndarray) -> np.ndarray:
     """The inverse circuit applied to ``amps``: one gather undoes A (the
     amplitude at x comes from A x), then the self-inverse rotations run in
@@ -125,7 +139,11 @@ def encrypt_block(k: CipherKey, p: PlainBlock) -> CipherBlock:
 
 
 def _read_basis_bits(amps: np.ndarray, n: int, what: str = "post-inverse state") -> str:
-    probs = np.abs(amps) ** 2
+    return _read_basis_probs(np.abs(amps) ** 2, n, what)
+
+
+def _read_basis_probs(probs: np.ndarray, n: int, what: str) -> str:
+    """The basis index holding all the probability, as bits, or IntegrityError."""
     index = int(np.argmax(probs))
     impurity = 1.0 - float(probs[index])
     # Written so that a NaN impurity (from a NaN amplitude) fails too.

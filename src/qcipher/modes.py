@@ -10,7 +10,9 @@ Mode 2 (entangling CNOTs): block i's plaintext register is stitched to
 block i-1's ciphertext with one CNOT per qubit (under a pairing permutation
 that can be part of the key) before the key circuit runs on it. All blocks
 live in one joint register, which is why the total width is capped; the
-mode is fully deterministic.
+mode is fully deterministic. Both directions run on the compiled key: its
+table of ciphertexts, one row per basis input, is applied to one block of
+the register at a time.
 
 The first block of either mode is XORed with a pre-shared initialization
 vector that is stored with the key material, never with the transmission.
@@ -27,23 +29,18 @@ import numpy as np
 from .cipher import (
     CipherBlock,
     PlainBlock,
-    _apply_ops_inplace,
+    _basis_indices,
+    _encrypt_table,
     _invert_amps,
     _read_basis_bits,
+    _read_basis_probs,
     cipherblock_from_obj,
-    encode_plaintext,
     encrypt_block,
     xor_bits,
 )
 from .errors import InputError, ResourceError
-from .keyschedule import CipherKey, Cnot, compile_circuit, inverse_circuit, key_circuit
-from .statevector import (
-    MAX_QUBITS,
-    StateVector,
-    _amps_body,
-    measure_all,
-    tensor,
-)
+from .keyschedule import CipherKey, compile_circuit, key_circuit
+from .statevector import MAX_QUBITS, StateVector, _amps_body, measure_all
 
 
 class Mode(str, Enum):
@@ -79,6 +76,9 @@ class ModeConfig:
         if pairing is None:
             pairing = tuple(range(1, n + 1))
         else:
+            # Strict: a float or a bool is rejected, never truncated.
+            if any(not isinstance(v, (int, np.integer)) or isinstance(v, bool) for v in pairing):
+                raise InputError("mode2_pairing must be a sequence of integers")
             pairing = tuple(int(v) for v in pairing)
             if sorted(pairing) != list(range(1, n + 1)):
                 raise InputError("mode2_pairing must be a permutation of 1..n")
@@ -174,14 +174,22 @@ def mode1_decrypt(k: CipherKey, t: Transmission, cfg: ModeConfig) -> list[PlainB
     return out
 
 
-def _chain_cnots(n: int, from_block: int, to_block: int, pairing: tuple[int, ...]) -> list[Cnot]:
-    base_c = (from_block - 1) * n
-    base_t = (to_block - 1) * n
-    return [Cnot(base_c + q, base_t + pairing[q - 1]) for q in range(1, n + 1)]
+def _pairing_map(n: int, pairing: tuple[int, ...]) -> np.ndarray:
+    """``pi[y]``: the mask the pairing CNOTs XOR into the next block when the
+    previous ciphertext is basis index y (bit q of y lands on bit pairing[q-1])."""
+    return _basis_indices(tuple(1 << (n - t) for t in pairing))
 
 
 def mode2_encrypt(k: CipherKey, blocks: list[PlainBlock], cfg: ModeConfig) -> Transmission:
-    """Chain blocks through entangling CNOTs into one joint register."""
+    """Chain blocks through entangling CNOTs into one joint register.
+
+    Block i enters the key circuit as the basis input p_i XOR pi(y_{i-1}),
+    where y_{i-1} is block i-1's ciphertext index, so the joint amplitude
+    at (y_1, ..., y_m) is T[p_1 ^ iv, y_1] * prod_i T[p_i ^ pi(y_{i-1}), y_i]
+    for the key's table T (row z = ciphertext of input z). Each block after
+    the first costs one row gather from T and one broadcast multiply. A
+    single block is the block cipher's output, with no table built.
+    """
     if cfg.mode is not Mode.ENTANGLING:
         raise InputError("mode2_encrypt requires an entangling-mode config")
     if cfg.n != k.n:
@@ -194,26 +202,53 @@ def mode2_encrypt(k: CipherKey, blocks: list[PlainBlock], cfg: ModeConfig) -> Tr
         raise ResourceError(
             f"joint register of {m * k.n} qubits exceeds the {MAX_QUBITS}-qubit cap"
         )
-    pairing = cfg.mode2_pairing
-    assert pairing is not None
-    first = xor_bits(blocks[0].bits, cfg.iv)
-    joint = encrypt_block(k, PlainBlock(first)).state
-    for i in range(2, m + 1):
-        joint = tensor(joint, encode_plaintext(blocks[i - 1].bits))
-        amps = joint.amps.copy()
-        _apply_ops_inplace(amps, joint.n, _chain_cnots(k.n, i - 1, i, pairing))
-        _apply_ops_inplace(amps, joint.n, key_circuit(k), offset=(i - 1) * k.n)
-        joint = StateVector(joint.n, amps)
-    return Transmission(Mode.ENTANGLING, k.n, m, joint=joint)
+    first = PlainBlock(xor_bits(blocks[0].bits, cfg.iv))
+    if m == 1:
+        # n may reach the full cap here, where a table would not fit.
+        return Transmission(Mode.ENTANGLING, k.n, 1, joint=encrypt_block(k, first).state)
+    table = _encrypt_table(compile_circuit(key_circuit(k), k.n))
+    pi = _pairing_map(k.n, cfg.mode2_pairing)  # type: ignore[arg-type]
+    size = 1 << k.n
+    amps = table[int(first.bits, 2)]
+    for p in blocks[1:]:
+        amps = (amps.reshape(-1, size, 1) * table[int(p.bits, 2) ^ pi]).ravel()
+    return Transmission(Mode.ENTANGLING, k.n, m, joint=StateVector(m * k.n, amps))
+
+
+def _unwind(table: np.ndarray, pi: np.ndarray, part: np.ndarray, m: int) -> np.ndarray:
+    """Mode 2's inverse on one real array of m blocks, from the last block
+    to the first: a matrix product with the table T on the block's axis
+    (the key circuit's unitary is T.T, so T undoes it), then, for every
+    block but the first, the gather that takes block i's index p from
+    p ^ pi(y_{i-1})."""
+    size = table.shape[0]
+    chain = (np.arange(size) ^ pi[:, None])[None, :, :, None]
+    # The real or imaginary view of the register is strided; BLAS needs unit stride.
+    part = np.ascontiguousarray(part)
+    for i in range(m, 0, -1):
+        rest = size ** (m - i)
+        # On the last block's axis, one matrix product rather than one
+        # matrix-vector product per prefix.
+        if i == m:
+            part = part.reshape(-1, size) @ table.T
+        else:
+            part = np.matmul(table, part.reshape(-1, size, rest))
+        if i > 1:
+            part = np.take_along_axis(part.reshape(-1, size, size, rest), chain, axis=2)
+    return part.ravel()
 
 
 def mode2_decrypt(k: CipherKey, t: Transmission, cfg: ModeConfig) -> list[PlainBlock]:
     """Unwind the entangled chain from the last block to the first.
 
-    Undoing block i's key circuit and re-applying the pairing CNOTs
-    (controlled on block i-1) disentangles block i into its plaintext
-    basis state; after the first block is inverted the whole register must
-    be a single basis state, read with an argmax plus purity check.
+    Undoing block i's key (one matrix product with the key's table on that
+    block's axis) leaves it in the basis state p_i XOR pi(y_{i-1}); one
+    gather along the axis at p XOR pi(y_{i-1}) then undoes the pairing
+    CNOTs and disentangles it. The real and imaginary parts run as separate
+    float64 arrays, the imaginary one only when it is nonzero. After the
+    first block the whole register must be a single basis state, read with
+    an argmax plus purity check. A single block takes the block cipher's
+    inverse, with no table built.
     """
     if t.mode is not Mode.ENTANGLING:
         raise InputError("mode2_decrypt requires an entangling-mode transmission")
@@ -221,17 +256,22 @@ def mode2_decrypt(k: CipherKey, t: Transmission, cfg: ModeConfig) -> list[PlainB
         raise InputError("config, key, and transmission block sizes must agree")
     if t.m == 0:
         return []
-    pairing = cfg.mode2_pairing
-    assert pairing is not None
-    total = t.m * k.n
-    amps = t.joint.amps.copy()  # type: ignore[union-attr]
-    inv = inverse_circuit(k)
-    for i in range(t.m, 1, -1):
-        _apply_ops_inplace(amps, total, inv, offset=(i - 1) * k.n)
-        _apply_ops_inplace(amps, total, _chain_cnots(k.n, i - 1, i, pairing))
-    _apply_ops_inplace(amps, total, inv)
-    bits = _read_basis_bits(amps, total, "joint register")
-    chunks = [bits[i * k.n : (i + 1) * k.n] for i in range(t.m)]
+    n, m = k.n, t.m
+    amps = t.joint.amps  # type: ignore[union-attr]
+    cc = compile_circuit(key_circuit(k), n)
+    if m == 1:
+        bits = _read_basis_bits(_invert_amps(cc, amps), n, "joint register")
+    else:
+        table = _encrypt_table(cc)
+        pi = _pairing_map(n, cfg.mode2_pairing)  # type: ignore[arg-type]
+        # Honest ciphertexts are real, so the imaginary part is usually zero.
+        re = _unwind(table, pi, amps.real, m)
+        probs = np.square(re, out=re)
+        if amps.imag.any():
+            im = _unwind(table, pi, amps.imag, m)
+            probs += np.square(im, out=im)
+        bits = _read_basis_probs(probs, m * n, "joint register")
+    chunks = [bits[i * n : (i + 1) * n] for i in range(m)]
     chunks[0] = xor_bits(chunks[0], cfg.iv)
     return [PlainBlock(c) for c in chunks]
 

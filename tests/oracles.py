@@ -1,13 +1,17 @@
 """Independent oracles used to cross-check the fast implementation.
 
 Everything here is built from first principles (dense matrices, explicit
-index arithmetic) and never calls the package's gate kernels.
+index arithmetic) and never calls the package's gate kernels, except the
+mode-2 reference at the end, which replays the package's gate-by-gate
+simulator on the joint register as the library did before mode 2 ran on
+the compiled key.
 """
 
 import numpy as np
 
-from qcipher.keyschedule import Cnot, SingleU
-from qcipher.statevector import StateVector
+from qcipher.cipher import apply_circuit
+from qcipher.keyschedule import CipherKey, Cnot, SingleU, inverse_circuit, key_circuit
+from qcipher.statevector import StateVector, basis_state, tensor
 
 
 def u_matrix(theta: float) -> np.ndarray:
@@ -82,3 +86,36 @@ def random_state(n: int, rng: np.random.Generator) -> StateVector:
     v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     v /= np.linalg.norm(v)
     return StateVector(n, v)
+
+
+def _chain_cnots(n: int, to_block: int, pairing) -> list[Cnot]:
+    """The pairing CNOTs: qubit q of block to_block-1 onto qubit
+    pairing[q-1] of block to_block (blocks numbered from 1)."""
+    base_c, base_t = (to_block - 2) * n, (to_block - 1) * n
+    return [Cnot(base_c + q, base_t + pairing[q - 1]) for q in range(1, n + 1)]
+
+
+def mode2_gate_by_gate(k: CipherKey, blocks: list[str], iv: str, pairing) -> StateVector:
+    """Mode-2 joint register, gate by gate: the first block XOR iv through
+    the key circuit; each later block tensored on as a basis state, chained
+    by the pairing CNOTs and run through the key circuit at its offset."""
+    n, ops = k.n, key_circuit(k)
+    first = format(int(blocks[0], 2) ^ int(iv, 2), f"0{n}b")
+    joint = apply_circuit(basis_state(n, first), ops)
+    for i in range(2, len(blocks) + 1):
+        joint = tensor(joint, basis_state(n, blocks[i - 1]))
+        joint = apply_circuit(joint, _chain_cnots(n, i, pairing))
+        joint = apply_circuit(joint, ops, offset=(i - 1) * n)
+    return joint
+
+
+def mode2_gate_by_gate_inverse(k: CipherKey, joint: StateVector, pairing) -> np.ndarray:
+    """Post-inverse amplitudes of a mode-2 joint register, gate by gate:
+    from the last block to the first, the inverse key circuit at the
+    block's offset, then (for every block but the first) the pairing CNOTs."""
+    n, inv = k.n, inverse_circuit(k)
+    m = joint.n // n
+    for i in range(m, 1, -1):
+        joint = apply_circuit(joint, inv, offset=(i - 1) * n)
+        joint = apply_circuit(joint, _chain_cnots(n, i, pairing))
+    return apply_circuit(joint, inv).amps

@@ -309,3 +309,15 @@ def test_mode1_encrypts_each_block_once(monkeypatch):
         assert np.array_equal(t.blocks[i].state.amps, sealed.amps)
         assert np.array_equal(t.iv_carriers[i].amps, outcome.collapsed.amps)
         iv = outcome.bits
+
+
+@pytest.mark.parametrize("pairing", [(2.7, True), (2.0, 1), (2, 1.0), (True, 2), (2, np.bool_(True))])
+def test_mode_config_rejects_float_and_bool_pairing(pairing):
+    with pytest.raises(InputError):
+        ModeConfig(Mode.ENTANGLING, "01", pairing)
+
+
+def test_mode_config_accepts_numpy_integer_pairing():
+    cfg = ModeConfig(Mode.ENTANGLING, "011", (np.int64(3), np.int32(1), 2))
+    assert cfg.mode2_pairing == (3, 1, 2)
+    assert all(type(v) is int for v in cfg.mode2_pairing)
