@@ -5,9 +5,10 @@ Three views of the same question, "who influences whom":
 * a symbolic dependence propagator that applies the union transfer rule (a
   single-qubit rotation marks its own qubit, a CNOT copies the control's
   marks onto the target) and therefore over-approximates,
-* a parity propagator that applies the exact rule for this gate set (a
-  CNOT adds the control's marks to the target's modulo 2, so marks the two
-  already share cancel),
+* the exact rule for this gate set (a CNOT adds the control's marks to the
+  target's modulo 2, so marks the two already share cancel), which is the
+  GF(2) matrix A of ``keyschedule.compile_circuit``, read out by
+  ``parity_dependences``,
 * numeric perturbation probes that re-encrypt with altered key angles or
   flipped plaintext bits and watch the per-qubit measurement marginals.
 
@@ -21,7 +22,7 @@ and agrees with the numeric matrix on only about 54% of entries.
 
 The probes run on the compiled circuit (``keyschedule.compile_circuit``):
 its CNOT network is compiled once, and each probe only swaps angles or
-plaintext bits.
+plaintext bits. Every angle probe goes through ``_probe``.
 """
 
 from __future__ import annotations
@@ -102,9 +103,13 @@ class ConfusionReport:
     matrix: DependenceMatrix
 
 
-def _propagate(circuit: list[GateOp], n: int, combine: np.ufunc) -> DependenceMatrix:
-    # A rotation on qubit q marks q's own set; a CNOT folds the control's
-    # set into the target's set with ``combine``.
+def symbolic_dependences(circuit: list[GateOp], n: int) -> DependenceMatrix:
+    """Propagate dependence sets through a gate list.
+
+    Sound over-approximation: a rotation on qubit q adds q to q's set, and
+    a CNOT unions the control's set into the target's set. Entries only
+    ever switch from False to True.
+    """
     entries = np.zeros((n, n), dtype=bool)
     for op in circuit:
         if isinstance(op, SingleU):
@@ -114,37 +119,39 @@ def _propagate(circuit: list[GateOp], n: int, combine: np.ufunc) -> DependenceMa
         else:
             if not (1 <= op.control <= n and 1 <= op.target <= n):
                 raise InputError(f"gate qubits {op.control}->{op.target} out of range 1..{n}")
-            target = entries[op.target - 1]
-            combine(target, entries[op.control - 1], out=target)
+            entries[op.target - 1] |= entries[op.control - 1]
     return DependenceMatrix(n, entries)
 
 
-def symbolic_dependences(circuit: list[GateOp], n: int) -> DependenceMatrix:
-    """Propagate dependence sets through a gate list.
-
-    Sound over-approximation: a rotation on qubit q adds q to q's set, and
-    a CNOT unions the control's set into the target's set. Entries only
-    ever switch from False to True.
-    """
-    return _propagate(circuit, n, np.logical_or)
-
-
 def parity_dependences(circuit: list[GateOp], n: int) -> DependenceMatrix:
-    """Exact marginal-level dependence law for rotation-layer + CNOT circuits.
+    """Exact marginal-level dependence law: the GF(2) matrix A of
+    ``compile_circuit``, as booleans.
 
     In the Heisenberg picture a CNOT maps the target's Z observable to the
     product of control and target Z's, so Z labels accumulate modulo 2: a
-    dependence already shared by control and target cancels. For a circuit
-    whose rotations all precede its CNOTs (every key circuit has this
-    shape), each qubit's 0-probability is (1 +- prod cos(2 theta_j))/2
-    over exactly this row's angles, so for guarded angles these entries
-    coincide with the numeric probe matrix, except where a dependence moves
-    the marginal by no more than the probe's epsilon (10 of 2,000 guarded
-    n = 10 keys at the default epsilon). For such circuits the matrix is
-    the GF(2) matrix A of ``compile_circuit``. Always a subset of
-    ``symbolic_dependences``.
+    dependence already shared by control and target cancels. This is the
+    row update ``compile_circuit`` applies. The circuit must be one rotation
+    per qubit followed by CNOTs only (every key circuit has this shape);
+    any other gate list raises InputError, since the exact law has no
+    meaning for it. For such circuits each qubit's 0-probability is
+    (1 +- prod cos(2 theta_j))/2 over exactly this row's angles, so for
+    guarded angles these entries coincide with the numeric probe matrix,
+    except where a dependence moves the marginal by no more than the
+    probe's epsilon (10 of 2,000 guarded n = 10 keys at the default
+    epsilon). Always a subset of ``symbolic_dependences``.
     """
-    return _propagate(circuit, n, np.logical_xor)
+    cols = compile_circuit(circuit, n).cols
+    entries = np.array([[col >> (n - 1 - m) & 1 for col in cols] for m in range(n)], dtype=bool)
+    return DependenceMatrix(n, entries)
+
+
+def _check_probe(epsilon: float, grid: int = DEFAULT_GRID) -> None:
+    # Settings under which no dependence can show: grid 1's only alternate
+    # is theta + pi, and U(theta + pi) = -U(theta) moves no marginal.
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise InputError(f"epsilon must be finite and positive, got {epsilon!r}")
+    if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)) or grid < 2:
+        raise InputError(f"grid must be an integer >= 2, got {grid!r}")
 
 
 def perturbation_indices(base: int, N: int, grid: int) -> list[int]:
@@ -163,6 +170,22 @@ def _with_angle(cc: CompiledCircuit, j: int, theta: float) -> CompiledCircuit:
     return replace(cc, thetas=cc.thetas[:j] + (theta,) + cc.thetas[j + 1 :])
 
 
+def _probe(cc: CompiledCircuit, bits: str, alternates: list[list[float]], epsilon: float) -> np.ndarray:
+    """Angle perturbation probe of the compiled circuit on |bits>.
+
+    Entry (m, j) of the (n, n) boolean result is set when some angle in
+    ``alternates[j]``, put in place of theta_j with the other angles fixed,
+    moves the marginal of qubit m+1 by more than ``epsilon``. Each
+    alternate costs one encryption; it shows in every row at once.
+    """
+    base = _marginals(cc, bits)
+    entries = np.zeros((cc.n, cc.n), dtype=bool)
+    for j, thetas in enumerate(alternates):
+        for theta in thetas:
+            entries[:, j] |= np.abs(_marginals(_with_angle(cc, j, theta), bits) - base) > epsilon
+    return entries
+
+
 def numeric_dependence_matrix(
     k: CipherKey,
     p: PlainBlock,
@@ -177,20 +200,15 @@ def numeric_dependence_matrix(
     ciphertext qubit m+1 by more than ``epsilon``. Each probe re-runs the
     whole encryption on the compiled circuit with one angle swapped.
     """
-    if epsilon <= 0:
-        raise InputError("epsilon must be positive")
-    if grid < 2:
-        raise InputError("grid must be >= 2")
+    _check_probe(epsilon, grid)
     if p.n != k.n:
         raise InputError(f"plaintext length {p.n} does not match key block size {k.n}")
     cc = compile_circuit(key_circuit(k, through_step), k.n)
-    base = _marginals(cc, p.bits)
-    entries = np.zeros((k.n, k.n), dtype=bool)
-    for j in range(k.n):
-        for alt in perturbation_indices(k.theta_indices[j], k.N, grid):
-            probed = _marginals(_with_angle(cc, j, grid_angle(alt, k.N)), p.bits)
-            entries[:, j] |= np.abs(probed - base) > epsilon
-    return DependenceMatrix(k.n, entries)
+    alternates = [
+        [grid_angle(alt, k.N) for alt in perturbation_indices(index, k.N, grid)]
+        for index in k.theta_indices
+    ]
+    return DependenceMatrix(k.n, _probe(cc, p.bits, alternates, epsilon))
 
 
 def confusion_check(k: CipherKey, through_step: int = 4) -> ConfusionReport:
@@ -215,8 +233,7 @@ def diffusion_profile(
     n/2, so many full-circuit keys fail this verdict and
     ``qcipher analyze --kind diffusion`` exits 1 for them.
     """
-    if epsilon <= 0:
-        raise InputError("epsilon must be positive")
+    _check_probe(epsilon)
     if p.n != k.n:
         raise InputError(f"plaintext length {p.n} does not match key block size {k.n}")
     cc = compile_circuit(key_circuit(k, through_step), k.n)
@@ -278,23 +295,9 @@ def _random_circuit(thetas: list[float], cnots: list[Cnot], n: int) -> CompiledC
     return compile_circuit([SingleU(q + 1, thetas[q]) for q in range(n)] + cnots, n)
 
 
-def _numeric_deps_of(
-    cc: CompiledCircuit,
-    bits: str,
-    qubit: int,
-    epsilon: float,
-    grid: int,
-) -> set[int]:
-    base = _marginals(cc, bits)
-    deps: set[int] = set()
-    for j in range(1, cc.n + 1):
-        for t in range(1, grid + 1):
-            alt = _with_angle(cc, j - 1, cc.thetas[j - 1] + 2.0 * math.pi * t / (grid + 1))
-            probed = _marginals(alt, bits)
-            if abs(probed[qubit - 1] - base[qubit - 1]) > epsilon:
-                deps.add(j)
-                break
-    return deps
+def _deps(entries: np.ndarray, q: int) -> set[int]:
+    """The angles (1-based) whose probes moved qubit q's marginal."""
+    return {j + 1 for j in np.flatnonzero(entries[q - 1]).tolist()}
 
 
 def verify_dependence_rules(
@@ -326,6 +329,8 @@ def verify_dependence_rules(
         raise InputError("verify_dependence_rules supports 2 <= n <= 6")
     if trials < 1:
         raise InputError("trials must be >= 1")
+    _check_probe(epsilon, grid)
+    offsets = [2.0 * math.pi * t / (grid + 1) for t in range(1, grid + 1)]
     locality: list[str] = []
     transfer: list[str] = []
     retention: list[str] = []
@@ -334,6 +339,7 @@ def verify_dependence_rules(
     for trial in range(trials):
         thetas = [_guarded_angle(rng) for _ in range(n)]
         bits = "".join(str(int(b)) for b in rng.integers(0, 2, size=n))
+        alternates = [[theta + off for off in offsets] for theta in thetas]
 
         # (a) keep one qubit clear of CNOTs and perturb its rotation.
         fresh = int(rng.integers(1, n + 1))
@@ -343,23 +349,17 @@ def verify_dependence_rules(
             for _ in range(int(rng.integers(0, 2 * n + 1))):
                 c, t = rng.choice(others, size=2, replace=False)
                 prefix.append(Cnot(int(c), int(t)))
-        before = _random_circuit(thetas, prefix, n)
-        base = _marginals(before, bits)
-        for t_step in range(1, grid + 1):
-            alt = _with_angle(before, fresh - 1, thetas[fresh - 1] + 2.0 * math.pi * t_step / (grid + 1))
-            probed = _marginals(alt, bits)
-            moved = [q for q in range(1, n + 1) if q != fresh and abs(probed[q - 1] - base[q - 1]) > epsilon]
-            if moved:
-                locality.append(f"trial {trial}: rotation on {fresh} moved marginals of {moved}")
+        before = _probe(_random_circuit(thetas, prefix, n), bits, alternates, epsilon)
+        moved = [q for q in others if before[q - 1, fresh - 1]]
+        if moved:
+            locality.append(f"trial {trial}: rotation on {fresh} moved marginals of {moved}")
 
         # (b)/(c) compare numeric dependences across one appended CNOT.
         c, t = rng.choice(range(1, n + 1), size=2, replace=False)
         c, t = int(c), int(t)
-        deps_control_before = _numeric_deps_of(before, bits, c, epsilon, grid)
-        deps_target_before = _numeric_deps_of(before, bits, t, epsilon, grid)
-        after = _random_circuit(thetas, prefix + [Cnot(c, t)], n)
-        deps_target = _numeric_deps_of(after, bits, t, epsilon, grid)
-        deps_control = _numeric_deps_of(after, bits, c, epsilon, grid)
+        after = _probe(_random_circuit(thetas, prefix + [Cnot(c, t)], n), bits, alternates, epsilon)
+        deps_control_before, deps_target_before = _deps(before, c), _deps(before, t)
+        deps_control, deps_target = _deps(after, c), _deps(after, t)
         for j in sorted(deps_control_before - deps_target):
             if j in deps_target_before:
                 cancellations.append(f"trial {trial}: {c}->{t} cancelled shared dependence {j}")
@@ -375,15 +375,8 @@ def verify_dependence_rules(
         if missing_c:
             retention.append(f"trial {trial}: {c}->{t} lost control dependences {sorted(missing_c)}")
     return DependenceRuleReport(
-        n,
-        trials,
-        epsilon,
-        grid,
-        tuple(locality),
-        tuple(transfer),
-        tuple(retention),
-        tuple(cancellations),
-        tuple(parity),
+        n, trials, epsilon, grid, tuple(locality), tuple(transfer), tuple(retention),
+        tuple(cancellations), tuple(parity),
     )
 
 

@@ -13,6 +13,7 @@ from .keyschedule import CipherKey, CompiledCircuit, SingleU, compile_circuit, k
 from .statevector import (
     StateVector,
     _amps_body,
+    _check_bits,
     _cnot_inplace,
     _single_inplace,
     _state_from_fields,
@@ -30,8 +31,7 @@ class PlainBlock:
     bits: str
 
     def __post_init__(self) -> None:
-        if not self.bits or any(c not in "01" for c in self.bits):
-            raise InputError(f"plaintext block must be a nonempty bitstring, got {self.bits!r}")
+        _check_bits(self.bits, "plaintext block")
 
     @property
     def n(self) -> int:

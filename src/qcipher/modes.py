@@ -35,12 +35,13 @@ from .cipher import (
     _read_basis_bits,
     _read_basis_probs,
     cipherblock_from_obj,
+    cipherblock_to_json,
     encrypt_block,
     xor_bits,
 )
 from .errors import InputError, ResourceError
 from .keyschedule import CipherKey, compile_circuit, key_circuit
-from .statevector import MAX_QUBITS, StateVector, _amps_body, measure_all
+from .statevector import MAX_QUBITS, StateVector, _check_bits, measure_all
 
 
 class Mode(str, Enum):
@@ -65,8 +66,7 @@ class ModeConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.mode, Mode):
             raise InputError(f"mode must be a Mode value, got {self.mode!r}")
-        if not self.iv or any(c not in "01" for c in self.iv):
-            raise InputError(f"iv must be a nonempty bitstring, got {self.iv!r}")
+        _check_bits(self.iv, "iv")
         n = len(self.iv)
         if self.mode is Mode.MEASURED:
             if self.mode2_pairing is not None:
@@ -300,30 +300,15 @@ def decrypt(k: CipherKey, t: Transmission, cfg: ModeConfig) -> list[PlainBlock]:
 # Transmission file: an envelope around statevector payload entries. The IV
 # itself is never serialized here; it belongs with the key material.
 
-def _carrier_fragment(s: StateVector, index: int) -> str:
-    return (
-        f'{{"n": {s.n}, "amps": [{_amps_body(s.amps)}], '
-        f'"block_index": {index}, "mode": "iv"}}'
-    )
-
-
 def transmission_to_json(t: Transmission) -> str:
-    entries: list[str] = []
+    entries: list[CipherBlock] = []
     if t.mode is Mode.MEASURED:
-        for i in range(t.m):
-            b = t.blocks[i]
-            entries.append(
-                f'{{"n": {b.state.n}, "amps": [{_amps_body(b.state.amps)}], '
-                f'"block_index": {b.block_index}, "mode": "m1"}}'
-            )
-            entries.append(_carrier_fragment(t.iv_carriers[i], i))
+        for i, (b, carrier) in enumerate(zip(t.blocks, t.iv_carriers)):
+            # Tagged "m1" whatever the block's own tag, so the file reads back.
+            entries += [CipherBlock(b.state, b.block_index, "m1"), CipherBlock(carrier, i, "iv")]
     elif t.m > 0:
-        j = t.joint
-        assert j is not None
-        entries.append(
-            f'{{"n": {j.n}, "amps": [{_amps_body(j.amps)}], "block_index": 0, "mode": "m2"}}'
-        )
-    payload = ", ".join(entries)
+        entries.append(CipherBlock(t.joint, 0, "m2"))  # type: ignore[arg-type]
+    payload = ", ".join(cipherblock_to_json(e) for e in entries)
     return (
         f'{{"mode": "{t.mode.value}", "n": {t.n}, "m": {t.m}, '
         f'"iv_public": false, "payload": [{payload}]}}'

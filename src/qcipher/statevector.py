@@ -69,9 +69,10 @@ def _check_qubit(n: int, q: int, name: str = "qubit") -> None:
         raise InputError(f"{name} index {q} out of range 1..{n}")
 
 
-def _check_bits(bits: str) -> None:
-    if not bits or any(c not in "01" for c in bits):
-        raise InputError(f"bitstring must be nonempty over {{0,1}}, got {bits!r}")
+def _check_bits(bits: str, what: str = "bitstring") -> None:
+    """The one bitstring validator: a nonempty ``str`` over {0,1}."""
+    if not isinstance(bits, str) or not bits or any(c not in "01" for c in bits):
+        raise InputError(f"{what} must be a nonempty string over {{0,1}}, got {bits!r}")
 
 
 def index_to_bits(index: int, n: int) -> str:

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from qcipher.analysis import (
+    DEFAULT_EPSILON,
+    _probe,
     confusion_check,
     diffusion_profile,
     numeric_dependence_matrix,
@@ -16,7 +18,7 @@ from qcipher.analysis import (
 )
 from qcipher.cipher import PlainBlock, apply_circuit, encode_plaintext
 from qcipher.errors import InputError
-from qcipher.keyschedule import Cnot, SingleU, generate_key, key_circuit
+from qcipher.keyschedule import Cnot, SingleU, compile_circuit, generate_key, key_circuit
 from qcipher.statevector import marginal_p0
 from test_keyschedule import canonical_key
 
@@ -257,3 +259,78 @@ def test_canonical_key_parity_rows():
         {2, 3, 4, 5, 8},
         {1, 2, 3, 4, 5, 6, 7, 8},
     ]
+
+
+# (trial, control, target, cancelled angle) for verify_dependence_rules(n,
+# 40, default_rng(100 + n)), recorded before the probes were merged into one
+# helper; n = 2 has none.
+PINNED_CANCELLATIONS = {
+    2: [],
+    3: [(5, 2, 1, 2), (7, 1, 2, 1), (22, 3, 2, 2), (24, 3, 1, 1), (32, 3, 1, 1), (33, 3, 2, 2),
+        (37, 3, 2, 3)],
+    4: [(1, 3, 4, 4), (4, 1, 4, 4), (13, 3, 2, 3), (14, 4, 3, 3), (19, 3, 4, 4), (20, 1, 4, 1),
+        (25, 4, 1, 4), (28, 4, 3, 3), (29, 2, 1, 2), (29, 2, 1, 4), (33, 4, 1, 1), (35, 4, 1, 1),
+        (35, 4, 1, 4), (37, 2, 1, 2), (38, 1, 4, 1)],
+    5: [(0, 1, 3, 5), (1, 5, 4, 5), (6, 5, 1, 1), (10, 1, 2, 2), (10, 1, 2, 4), (18, 5, 3, 1),
+        (19, 1, 3, 1), (19, 1, 3, 3), (23, 3, 5, 4), (24, 5, 1, 1), (26, 5, 1, 5), (28, 1, 2, 2),
+        (32, 4, 2, 2), (35, 4, 2, 2), (36, 4, 3, 4), (38, 4, 1, 1), (38, 4, 1, 2), (38, 4, 1, 4),
+        (39, 3, 5, 5)],
+    6: [(0, 6, 1, 6), (1, 5, 6, 5), (8, 6, 5, 3), (8, 6, 5, 6), (10, 1, 5, 5), (11, 5, 4, 5),
+        (19, 3, 2, 2), (20, 5, 2, 5), (24, 1, 4, 2), (24, 1, 4, 3), (26, 2, 3, 2), (30, 6, 2, 6),
+        (34, 3, 5, 3), (36, 3, 6, 3)],
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_CANCELLATIONS))
+def test_verify_dependence_rules_pinned_reports(n):
+    report = verify_dependence_rules(n, 40, np.random.default_rng(100 + n))
+    assert report.locality_violations == ()
+    assert report.transfer_violations == ()
+    assert report.retention_violations == ()
+    assert report.parity_violations == ()
+    assert report.shared_cancellations == tuple(
+        f"trial {trial}: {c}->{t} cancelled shared dependence {j}"
+        for trial, c, t, j in PINNED_CANCELLATIONS[n]
+    )
+
+
+def test_parity_rejects_cnot_before_rotation_layer():
+    # The exact law is stated for "rotation layer, then CNOTs" only.
+    with pytest.raises(InputError):
+        parity_dependences([Cnot(1, 2)] + layer([0.3, 0.7]), 2)
+    with pytest.raises(InputError):
+        parity_dependences(layer([0.3]), 2)
+
+
+BAD_EPSILONS = [0.0, -1e-6, math.nan, math.inf, -math.inf]
+BAD_GRIDS = [1, 0, -3]
+
+
+@pytest.mark.parametrize("epsilon", BAD_EPSILONS)
+def test_probes_reject_epsilon(epsilon):
+    k = generate_key(4, 16, np.random.default_rng(4))
+    p = PlainBlock("0110")
+    with pytest.raises(InputError, match="epsilon"):
+        numeric_dependence_matrix(k, p, epsilon=epsilon)
+    with pytest.raises(InputError, match="epsilon"):
+        diffusion_profile(k, p, epsilon=epsilon)
+    with pytest.raises(InputError, match="epsilon"):
+        verify_dependence_rules(3, 2, np.random.default_rng(0), epsilon=epsilon)
+
+
+@pytest.mark.parametrize("grid", BAD_GRIDS)
+def test_probes_reject_grid(grid):
+    k = generate_key(4, 16, np.random.default_rng(4))
+    with pytest.raises(InputError, match="grid"):
+        numeric_dependence_matrix(k, PlainBlock("0110"), grid=grid)
+    with pytest.raises(InputError, match="grid"):
+        verify_dependence_rules(3, 2, np.random.default_rng(0), grid=grid)
+
+
+def test_grid_one_alone_would_see_no_dependence():
+    # Why grid 1 is rejected: its only offset is pi, and U(theta + pi) =
+    # -U(theta) leaves every marginal where it was.
+    k = generate_key(4, 16, np.random.default_rng(4))
+    cc = compile_circuit(key_circuit(k), 4)
+    half_turn = [[theta + math.pi] for theta in cc.thetas]
+    assert not _probe(cc, "0110", half_turn, DEFAULT_EPSILON).any()

@@ -217,3 +217,15 @@ def test_cipherblock_json_rejects_nan_amplitude():
 def test_purity_read_rejects_nan():
     with pytest.raises(IntegrityError):
         _read_basis_bits(np.array([math.nan, 0, 0, 0], dtype=complex), 2)
+
+
+@pytest.mark.parametrize("bits", [["0", "1"], ("1", "0"), b"01", 5, None])
+def test_plainblock_rejects_non_string_bits(bits):
+    with pytest.raises(InputError, match="plaintext block"):
+        PlainBlock(bits)
+
+
+def test_encrypt_block_never_sees_a_list_plaintext():
+    k = canonical_key(2, N=16)
+    with pytest.raises(InputError):
+        encrypt_block(k, PlainBlock(["0", "1"]))

@@ -251,3 +251,26 @@ def test_attack_brute_uses_key_file(tmp_path, capsys):
     assert report["params"]["n"] == 2 and report["params"]["N"] == 4
     assert report["params"]["enumerated"] == 16
     assert report["counts"]["true_key_found"] == 1
+
+
+@pytest.mark.parametrize(
+    "kind, setting",
+    [
+        ("rules", ["--grid", "0"]),
+        ("rules", ["--grid", "-3"]),
+        ("rules", ["--grid", "1"]),
+        ("rules", ["--eps", "nan"]),
+        ("rules", ["--eps", "inf"]),
+        ("rules", ["--eps", "0"]),
+        ("diffusion", ["--eps", "nan"]),
+        ("diffusion", ["--eps", "inf"]),
+        ("diffusion", ["--eps=-1e-6"]),
+    ],
+)
+def test_analyze_rejects_probe_settings_that_see_nothing(keyfile, tmp_path, capsys, kind, setting):
+    report = tmp_path / "r.json"
+    rc = main(["analyze", "--key", str(keyfile), "--kind", kind, "--trials", "2", *setting,
+               "--out", str(report)])
+    assert rc == 1
+    assert not report.exists()
+    assert ("grid" if setting[0] == "--grid" else "epsilon") in capsys.readouterr().err

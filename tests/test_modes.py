@@ -7,7 +7,7 @@ from oracles import reduced_purity
 from qcipher.cipher import PlainBlock, encrypt_block, xor_bits
 from qcipher.errors import InputError, IntegrityError, ResourceError
 from qcipher import modes
-from qcipher.keyschedule import generate_key
+from qcipher.keyschedule import CipherKey, generate_key
 from qcipher.modes import (
     Mode,
     ModeConfig,
@@ -321,3 +321,45 @@ def test_mode_config_accepts_numpy_integer_pairing():
     cfg = ModeConfig(Mode.ENTANGLING, "011", (np.int64(3), np.int32(1), 2))
     assert cfg.mode2_pairing == (3, 1, 2)
     assert all(type(v) is int for v in cfg.mode2_pairing)
+
+
+# Exact file text of two tiny transmissions, recorded before every payload
+# entry was written by ``cipherblock_to_json``.
+TINY_M1 = (
+    '{"mode": "m1", "n": 2, "m": 2, "iv_public": false, "payload": [{"n": 2, "amps": '
+    '[[0.35355339059327379, 0], [0.14644660940672621, 0], [-0.85355339059327373, 0], '
+    '[-0.35355339059327373, 0]], "block_index": 0, "mode": "m1"}, {"n": 2, "amps": [[0, '
+    '0], [0, 0], [1, 0], [0, 0]], "block_index": 0, "mode": "iv"}, {"n": 2, "amps": '
+    '[[0.85355339059327373, 0], [0.35355339059327373, 0], [0.35355339059327379, 0], '
+    '[0.14644660940672621, 0]], "block_index": 1, "mode": "m1"}, {"n": 2, "amps": [[1, '
+    '0], [0, 0], [0, 0], [0, 0]], "block_index": 1, "mode": "iv"}]}'
+)
+TINY_M2 = (
+    '{"mode": "m2", "n": 2, "m": 2, "iv_public": false, "payload": [{"n": 4, "amps": '
+    '[[0.72855339059327373, 0], [0.30177669529663687, 0], [0.30177669529663687, 0], '
+    '[0.12499999999999997, 0], [-0.12499999999999997, 0], [0.30177669529663687, 0], '
+    '[-0.051776695296636865, 0], [0.125, 0], [0.12500000000000003, 0], '
+    '[0.051776695296636879, 0], [-0.30177669529663687, 0], [-0.125, 0], '
+    '[-0.021446609406726231, 0], [0.051776695296636879, 0], [0.051776695296636865, 0], '
+    '[-0.12499999999999997, 0]], "block_index": 0, "mode": "m2"}]}'
+)
+
+
+def test_transmission_json_text_is_pinned():
+    k = CipherKey(2, 16, (1, 5), ((2, 1),), (1,))
+    cfg1 = ModeConfig(Mode.MEASURED, "01")
+    t1 = mode1_encrypt(k, blocks_of("10", "11"), cfg1, np.random.default_rng(0))
+    assert transmission_to_json(t1) == TINY_M1
+    t2 = mode2_encrypt(k, blocks_of("10", "01"), ModeConfig(Mode.ENTANGLING, "11"))
+    assert transmission_to_json(t2) == TINY_M2
+    empty = mode2_encrypt(k, [], ModeConfig(Mode.ENTANGLING, "11"))
+    assert transmission_to_json(empty) == (
+        '{"mode": "m2", "n": 2, "m": 0, "iv_public": false, "payload": []}'
+    )
+
+
+@pytest.mark.parametrize("iv", [["0", "1"], ("1", "0"), b"01", 5, None])
+def test_mode_config_rejects_non_string_iv(iv):
+    for mode in Mode:
+        with pytest.raises(InputError, match="iv"):
+            ModeConfig(mode, iv)

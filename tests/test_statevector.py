@@ -333,3 +333,9 @@ def test_statevector_rejects_non_finite_amplitudes(bad):
 def test_state_json_rejects_nan_amplitude():
     with pytest.raises(IntegrityError):
         state_from_json('{"n": 1, "amps": [[NaN, 0], [0, 0]]}')
+
+
+@pytest.mark.parametrize("bits", [["0", "1"], b"01", 5])
+def test_basis_state_rejects_non_string_bits(bits):
+    with pytest.raises(InputError, match="bitstring"):
+        basis_state(2, bits)
