@@ -15,6 +15,7 @@ from .statevector import (
     _amps_body,
     _check_bits,
     _cnot_inplace,
+    _load_json,
     _single_inplace,
     _state_from_fields,
     basis_state,
@@ -48,6 +49,8 @@ class CipherBlock:
 
 
 def xor_bits(a: str, b: str) -> str:
+    _check_bits(a, "xor operand")
+    _check_bits(b, "xor operand")
     if len(a) != len(b):
         raise InputError(f"bitstring lengths differ: {len(a)} vs {len(b)}")
     return index_to_bits(int(a, 2) ^ int(b, 2), len(a))
@@ -198,6 +201,8 @@ def cipherblock_to_json(c: CipherBlock) -> str:
 
 
 def cipherblock_from_obj(obj: object) -> CipherBlock:
+    """A cipher block from one object of a document parsed by
+    ``statevector._load_json``, whose "amps" field is then an ``_Amps``."""
     if not isinstance(obj, dict) or set(obj) != {"n", "amps", "block_index", "mode"}:
         raise InputError('cipher block JSON needs exactly "n", "amps", "block_index", "mode"')
     index = obj["block_index"]
@@ -210,8 +215,4 @@ def cipherblock_from_obj(obj: object) -> CipherBlock:
 
 
 def cipherblock_from_json(text: str) -> CipherBlock:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid cipher block JSON: {exc}") from exc
-    return cipherblock_from_obj(obj)
+    return cipherblock_from_obj(_load_json(text, "cipher block"))

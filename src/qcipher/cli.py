@@ -32,6 +32,7 @@ from .analysis import (
     DEFAULT_EPSILON,
     DEFAULT_GRID,
     DependenceMatrix,
+    _check_probe,
     confusion_check,
     diffusion_profile,
     report_to_json,
@@ -218,6 +219,8 @@ def _cmd_decrypt(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    # Every report echoes both settings, so every kind checks both.
+    _check_probe(args.eps, args.grid)
     key = _load_key(args.key)
     through = _ABLATION_STEPS[args.ablate]
     plaintext = PlainBlock(args.plaintext) if args.plaintext else PlainBlock(_zero_bits(key.n))

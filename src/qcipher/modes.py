@@ -20,7 +20,6 @@ vector that is stored with the key material, never with the transmission.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -41,7 +40,7 @@ from .cipher import (
 )
 from .errors import InputError, ResourceError
 from .keyschedule import CipherKey, compile_circuit, key_circuit
-from .statevector import MAX_QUBITS, StateVector, _check_bits, measure_all
+from .statevector import MAX_QUBITS, StateVector, _check_bits, _load_json, measure_all
 
 
 class Mode(str, Enum):
@@ -316,10 +315,7 @@ def transmission_to_json(t: Transmission) -> str:
 
 
 def transmission_from_json(text: str) -> Transmission:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid transmission JSON: {exc}") from exc
+    obj = _load_json(text, "transmission")
     if not isinstance(obj, dict) or set(obj) != {"mode", "n", "m", "iv_public", "payload"}:
         raise InputError('transmission JSON needs exactly "mode", "n", "m", "iv_public", "payload"')
     if obj["iv_public"] is not False:

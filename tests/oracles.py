@@ -2,16 +2,20 @@
 
 Everything here is built from first principles (dense matrices, explicit
 index arithmetic) and never calls the package's gate kernels, except the
-mode-2 reference at the end, which replays the package's gate-by-gate
-simulator on the joint register as the library did before mode 2 ran on
-the compiled key.
+mode-2 reference, which replays the package's gate-by-gate simulator on
+the joint register as the library did before mode 2 ran on the compiled
+key. The JSON readers at the end parse with json.loads, as the library
+did before its "amps" arrays were read in slices.
 """
+
+import json
 
 import numpy as np
 
 from qcipher.cipher import apply_circuit
+from qcipher.errors import InputError, IntegrityError, ResourceError
 from qcipher.keyschedule import CipherKey, Cnot, SingleU, inverse_circuit, key_circuit
-from qcipher.statevector import StateVector, basis_state, tensor
+from qcipher.statevector import MAX_QUBITS, NORM_TOL, StateVector, basis_state, tensor
 
 
 def u_matrix(theta: float) -> np.ndarray:
@@ -119,3 +123,111 @@ def mode2_gate_by_gate_inverse(k: CipherKey, joint: StateVector, pairing) -> np.
         joint = apply_circuit(joint, inv, offset=(i - 1) * n)
         joint = apply_circuit(joint, _chain_cnots(n, i, pairing))
     return apply_circuit(joint, inv).amps
+
+
+# ---------------------------------------------------------------------------
+# The JSON readers as they were before the sliced reader: json.loads of the
+# whole text, then np.asarray of the nested lists. They return the
+# amplitudes (one array per payload entry for a transmission) or raise the
+# CipherError the readers must raise. One rule is stricter than that old
+# code and matches the sliced reader: an amplitude must be a JSON number
+# (np.asarray also took true as 1.0 and "0.5" as 0.5). And every number
+# converts as its text does: -0 is -0.0 (json.loads makes it the integer 0)
+# and an overlong integer is inf (np.asarray raised OverflowError).
+
+class _JsonInt(int):
+    """A JSON integer that keeps its text."""
+
+    def __new__(cls, text: str):
+        value = super().__new__(cls, text)
+        value.text = text
+        return value
+
+
+def _json_oracle(text: str, what: str) -> object:
+    try:
+        return json.loads(text, parse_int=_JsonInt)
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"invalid {what} JSON: {exc}") from exc
+
+
+def _amps_oracle(n: object, amps_field: object) -> np.ndarray:
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise InputError('statevector field "n" must be an integer')
+    if n < 1:
+        raise InputError(f'statevector field "n" must be >= 1, got {n}')
+    if n > MAX_QUBITS:
+        raise ResourceError(f"statevector of {n} qubits exceeds the {MAX_QUBITS}-qubit cap")
+    if not isinstance(amps_field, list) or len(amps_field) != (1 << n):
+        raise InputError(f'statevector field "amps" must list {1 << n} [re, im] pairs')
+    if not all(
+        isinstance(pair, list) and len(pair) == 2
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
+        for pair in amps_field
+    ):
+        raise InputError('each "amps" entry must be an [re, im] pair of numbers')
+    pairs = np.array([[float(getattr(v, "text", v)) for v in pair] for pair in amps_field], dtype=np.float64)
+    amps = pairs.view(np.complex128).ravel()
+    norm = float(np.sum(np.abs(amps) ** 2))
+    if not abs(norm - 1.0) <= NORM_TOL:
+        raise IntegrityError(f"statevector payload norm {norm!r} deviates from 1")
+    return amps
+
+
+def state_from_json_oracle(text: str) -> np.ndarray:
+    obj = _json_oracle(text, "statevector")
+    if not isinstance(obj, dict) or set(obj) != {"n", "amps"}:
+        raise InputError('statevector JSON must have exactly the fields "n" and "amps"')
+    return _amps_oracle(obj["n"], obj["amps"])
+
+
+def _cipherblock_oracle(obj: object) -> tuple[np.ndarray, int, str, int]:
+    if not isinstance(obj, dict) or set(obj) != {"n", "amps", "block_index", "mode"}:
+        raise InputError('cipher block JSON needs exactly "n", "amps", "block_index", "mode"')
+    index, mode = obj["block_index"], obj["mode"]
+    if not isinstance(index, int) or isinstance(index, bool) or index < 0:
+        raise InputError('"block_index" must be a nonnegative integer')
+    if not isinstance(mode, str):
+        raise InputError('"mode" must be a string')
+    return _amps_oracle(obj["n"], obj["amps"]), index, mode, obj["n"]
+
+
+def cipherblock_from_json_oracle(text: str) -> np.ndarray:
+    return _cipherblock_oracle(_json_oracle(text, "cipher block"))[0]
+
+
+def transmission_from_json_oracle(text: str) -> list[np.ndarray]:
+    obj = _json_oracle(text, "transmission")
+    if not isinstance(obj, dict) or set(obj) != {"mode", "n", "m", "iv_public", "payload"}:
+        raise InputError('transmission JSON needs exactly "mode", "n", "m", "iv_public", "payload"')
+    if obj["iv_public"] is not False:
+        raise InputError("the IV is key material; iv_public must be false")
+    if obj["mode"] not in ("m1", "m2"):
+        raise InputError(f"unknown mode tag {obj['mode']!r}")
+    n, m = obj["n"], obj["m"]
+    for v in (n, m):
+        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            raise InputError("transmission fields n and m must be nonnegative integers")
+    payload = obj["payload"]
+    if not isinstance(payload, list):
+        raise InputError('"payload" must be a list')
+    if obj["mode"] == "m1":
+        if len(payload) != 2 * m:
+            raise InputError(f"expected {2 * m} payload entries, got {len(payload)}")
+        out = []
+        for i in range(2 * m):
+            amps, index, mode, width = _cipherblock_oracle(payload[i])
+            if mode != ("m1", "iv")[i % 2] or index != i // 2 or width != n:
+                raise InputError(f"payload entry {i} is out of place")
+            out.append(amps)
+        return out
+    if m == 0:
+        if payload:
+            raise InputError("empty transmission must have an empty payload")
+        return []
+    if len(payload) != 1:
+        raise InputError("entangling transmissions carry exactly one payload entry")
+    amps, index, mode, width = _cipherblock_oracle(payload[0])
+    if mode != "m2" or index != 0 or width != m * n:
+        raise InputError(f"payload entry is not a joint register of {m * n} qubits")
+    return [amps]

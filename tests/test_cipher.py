@@ -229,3 +229,10 @@ def test_encrypt_block_never_sees_a_list_plaintext():
     k = canonical_key(2, N=16)
     with pytest.raises(InputError):
         encrypt_block(k, PlainBlock(["0", "1"]))
+
+
+@pytest.mark.parametrize("a, b", [("1_0", "101"), (" 1", "01"), ("101", "1_0"), ("01", " 1")])
+def test_xor_bits_rejects_what_int_would_parse(a, b):
+    # int(..., 2) reads "1_0" as 2 and " 1" as 1; neither is a bitstring.
+    with pytest.raises(InputError, match="xor operand"):
+        xor_bits(a, b)

@@ -274,3 +274,20 @@ def test_analyze_rejects_probe_settings_that_see_nothing(keyfile, tmp_path, caps
     assert rc == 1
     assert not report.exists()
     assert ("grid" if setting[0] == "--grid" else "epsilon") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, setting, word",
+    [
+        ("confusion", ["--eps", "nan", "--grid", "-3"], "epsilon"),
+        ("confusion", ["--grid", "1"], "grid"),
+        ("diffusion", ["--grid", "0"], "grid"),
+    ],
+)
+def test_analyze_checks_eps_and_grid_for_every_kind(keyfile, tmp_path, capsys, kind, setting, word):
+    # Every report echoes --eps and --grid; a NaN would make it invalid JSON.
+    report = tmp_path / "r.json"
+    rc = main(["analyze", "--key", str(keyfile), "--kind", kind, *setting, "--out", str(report)])
+    assert rc == 1
+    assert not report.exists()
+    assert word in capsys.readouterr().err
