@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cipher import CipherBlock, PlainBlock, _encrypt_amps, _invert_amps, encrypt_block
+from .cipher import CipherBlock, PlainBlock, _encrypt_amps, _inverse_probs, encrypt_block
 from .errors import InputError, ResourceError
 from .keyschedule import CipherKey, compile_circuit, enumerate_keys, key_circuit, keyspace_size
 from .statevector import StateVector, fidelity, index_to_bits, measure_all
@@ -80,8 +80,7 @@ def sampled_decrypt_bits(k: CipherKey, state: StateVector, rng: np.random.Genera
     """The receiver's physical read: inverse circuit, then one measurement."""
     if state.n != k.n:
         raise InputError(f"state has {state.n} qubits, key expects {k.n}")
-    amps = _invert_amps(compile_circuit(key_circuit(k), k.n), state.amps)
-    probs = np.abs(amps) ** 2
+    probs = _inverse_probs(compile_circuit(key_circuit(k), k.n), state.amps)
     probs /= probs.sum()
     return index_to_bits(int(rng.choice(probs.size, p=probs)), k.n)
 
@@ -115,7 +114,7 @@ def detection_experiment(
     def _decode_probs(state: StateVector, bits_key: str | None) -> np.ndarray:
         if bits_key is not None and bits_key in decode_cache:
             return decode_cache[bits_key]
-        probs = np.abs(_invert_amps(cc, state.amps)) ** 2
+        probs = _inverse_probs(cc, state.amps)
         probs /= probs.sum()
         if bits_key is not None:
             decode_cache[bits_key] = probs
@@ -178,8 +177,14 @@ def marginal_estimation_attack(
     Against the rotation-layer-only ablation the per-qubit frequency of 0
     converges to cos(theta)^2 (for plaintext bit 0), so
     arccos(sqrt(p_hat)) recovers the angle up to its quadrant class.
-    Against the full circuit the marginals mix many angles and the same
-    estimator carries no single-angle information.
+    Against the full circuit, ciphertext qubit q measures the XOR of the
+    rotation outcomes over row q of A, so its 0-frequency converges to
+    (1 +/- prod_j cos(2 theta_j))/2 over that row, the sign set by the
+    plaintext. This estimator reads each marginal as one angle, so it
+    recovers theta_q only where row q has weight 1 (that row's marginal
+    does carry its one angle). The samples still carry every angle: an
+    attacker who knows A^-1 undoes the CNOTs on each sample and reads the
+    rotation layer as in the ablation.
     """
     if samples < 1:
         raise InputError("samples must be >= 1")

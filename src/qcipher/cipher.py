@@ -78,8 +78,14 @@ def encode_plaintext(bits: str) -> StateVector:
 # ---------------------------------------------------------------------------
 # The compiled path. On a basis input |x> the rotation layer yields the
 # product state sum_x prod_q u_q(x_q) |x>, and the CNOTs send |x> to |A x>.
-# Both loops below build their arrays by index doubling: appending qubit q
-# as the new least significant position keeps qubit 1 the most significant.
+# Encryption builds that product with ``_kron`` and scatters it through A;
+# ``_inverse`` undoes both. Arrays are built by index doubling: appending
+# qubit q as the new least significant position keeps qubit 1 the most
+# significant.
+
+# Largest qubit group whose rotations the inverse applies as one matrix.
+_GROUP = 8
+
 
 def _basis_indices(cols: tuple[int, ...]) -> np.ndarray:
     """``idx[x] = A x`` for every basis index x."""
@@ -89,48 +95,93 @@ def _basis_indices(cols: tuple[int, ...]) -> np.ndarray:
     return idx
 
 
+def _kron(thetas: tuple[float, ...], bits: str | None = None) -> np.ndarray:
+    """The Kronecker product of the rotations ``[[c, s], [s, -c]]`` in qubit
+    order, or, given ``bits``, of their rows ``bits[q]``: the product state
+    of input |bits>. Every entry multiplies its factors in qubit order, as
+    the gate-by-gate simulator does."""
+    out = np.ones((1, 1))
+    for q, theta in enumerate(thetas):
+        # U(theta)|0> = (cos, sin) and U(theta)|1> = (sin, -cos).
+        c, s = math.cos(theta), math.sin(theta)
+        u = np.array([[c, s], [s, -c]] if bits is None else [[c, s] if bits[q] == "0" else [s, -c]])
+        out = np.multiply.outer(u, out).transpose(2, 0, 3, 1).reshape(len(out) * len(u), -1)
+    return out if bits is None else out[0]
+
+
 def _encrypt_amps(cc: CompiledCircuit, bits: str) -> np.ndarray:
     """Amplitudes of the circuit applied to |bits>: one scatter of the
     product state through A. They are real, so the array is float64 (a
-    scatter into complex128 costs three times as much). The values equal
-    the gate-by-gate simulator's, which forms the same products in the
-    same qubit order."""
-    v = np.ones(1)
-    for theta, bit in zip(cc.thetas, bits):
-        # U(theta)|0> = (cos, sin) and U(theta)|1> = (sin, -cos).
-        c, s = math.cos(theta), math.sin(theta)
-        a, b = (c, s) if bit == "0" else (s, -c)
-        v = np.stack((v * a, v * b), axis=1).ravel()
-    out = np.zeros(v.size)
-    out[_basis_indices(cc.cols)] = v
+    scatter into complex128 costs three times as much), and they equal the
+    gate-by-gate simulator's value for value."""
+    out = np.zeros(1 << cc.n)
+    out[_basis_indices(cc.cols)] = _kron(cc.thetas, bits)
     return out
 
 
 def _encrypt_table(cc: CompiledCircuit) -> np.ndarray:
-    """The 2^n x 2^n table whose row z is ``_encrypt_amps`` of input z.
-
-    The Kronecker product of the rotations ``[[c, s], [s, -c]]`` holds the
-    product state of input z in row z, its factors multiplied in the same
-    order as in ``_encrypt_amps``; scattering its columns through A then
-    gives rows equal to ``_encrypt_amps`` value for value. The table is
-    real orthogonal: its transpose is the circuit's unitary."""
-    prod = np.ones((1, 1))
-    for theta in cc.thetas:
-        c, s = math.cos(theta), math.sin(theta)
-        prod = np.kron(prod, np.array([[c, s], [s, -c]]))
+    """The 2^n x 2^n table whose row z is ``_encrypt_amps`` of input z, value
+    for value: the Kronecker product with its columns scattered through A.
+    The table is real orthogonal: its transpose is the circuit's unitary."""
+    prod = _kron(cc.thetas)
     out = np.empty_like(prod)
     out[:, _basis_indices(cc.cols)] = prod
     return out
 
 
-def _invert_amps(cc: CompiledCircuit, amps: np.ndarray) -> np.ndarray:
-    """The inverse circuit applied to ``amps``: one gather undoes A (the
-    amplitude at x comes from A x), then the self-inverse rotations run in
-    the reverse order, q = n..1, as in the reversed gate list."""
-    out = amps[_basis_indices(cc.cols)]
-    for q in range(cc.n, 0, -1):
-        _single_inplace(out, cc.n, q, cc.thetas[q - 1])
-    return out
+def _inverse(cc: CompiledCircuit, part: np.ndarray, m: int = 1, pi: np.ndarray | None = None) -> np.ndarray:
+    """The inverse circuit on one real array of m blocks of cc.n qubits,
+    from the last block to the first; m = 1 is the block cipher, m > 1 is
+    mode 2 with the pairing map ``pi`` (see ``modes._pairing_map``).
+
+    On each block's axis, one gather undoes A (the amplitude at x comes
+    from A x), then the self-inverse rotation layer runs as one matrix
+    product per balanced group of at most _GROUP qubits. When one group
+    covers the block, the gather is folded into its rows, which gives the
+    table T of ``_encrypt_table``. For every block but the first, one more
+    gather along the axis, at p ^ pi(y_{i-1}), undoes the pairing CNOTs.
+    """
+    n, size = cc.n, 1 << cc.n
+    groups = -(-n // _GROUP)
+    if groups == 1:
+        idx, mats = None, [_encrypt_table(cc)]
+    else:
+        cuts = [n * g // groups for g in range(groups + 1)]
+        idx, mats = _basis_indices(cc.cols), [_kron(cc.thetas[a:b]) for a, b in zip(cuts, cuts[1:])]
+    # The real or imaginary view of a complex register is strided; BLAS
+    # needs unit stride.
+    part = np.ascontiguousarray(part)
+    for i in range(m, 0, -1):
+        rest = size ** (m - i)
+        if idx is not None:
+            part = np.take(part.reshape(-1, size, rest), idx, axis=1)
+        inner = size * rest
+        for mat in mats:
+            inner //= len(mat)
+            if inner == 1:
+                # On the last axis, one matrix product rather than one
+                # matrix-vector product per prefix.
+                part = part.reshape(-1, len(mat)) @ mat.T
+            else:
+                part = np.matmul(mat, part.reshape(-1, len(mat), inner))
+        if i > 1:
+            # Built only here: i > 1 means m >= 2, so n <= 12 under the
+            # cap and this 2^n x 2^n index array fits.
+            chain = (np.arange(size) ^ pi[:, None])[None, :, :, None]  # type: ignore[index]
+            part = np.take_along_axis(part.reshape(-1, size, size, rest), chain, axis=2)
+    return part.ravel()
+
+
+def _inverse_probs(cc: CompiledCircuit, amps: np.ndarray, m: int = 1, pi: np.ndarray | None = None) -> np.ndarray:
+    """Basis probabilities after the inverse circuit. The real and imaginary
+    parts run as separate float64 arrays; honest ciphertexts are real, so
+    the imaginary one runs only when it is nonzero."""
+    re = _inverse(cc, amps.real, m, pi)
+    probs = np.square(re, out=re)
+    if amps.imag.any():
+        im = _inverse(cc, amps.imag, m, pi)
+        probs += np.square(im, out=im)
+    return probs
 
 
 def encrypt_block(k: CipherKey, p: PlainBlock) -> CipherBlock:
@@ -139,10 +190,6 @@ def encrypt_block(k: CipherKey, p: PlainBlock) -> CipherBlock:
         raise InputError(f"plaintext length {p.n} does not match key block size {k.n}")
     amps = _encrypt_amps(compile_circuit(key_circuit(k), k.n), p.bits)
     return CipherBlock(StateVector(k.n, amps))
-
-
-def _read_basis_bits(amps: np.ndarray, n: int, what: str = "post-inverse state") -> str:
-    return _read_basis_probs(np.abs(amps) ** 2, n, what)
 
 
 def _read_basis_probs(probs: np.ndarray, n: int, what: str) -> str:
@@ -167,8 +214,8 @@ def decrypt_block(k: CipherKey, c: CipherBlock) -> PlainBlock:
     """
     if c.state.n != k.n:
         raise InputError(f"ciphertext has {c.state.n} qubits, key expects {k.n}")
-    out = _invert_amps(compile_circuit(key_circuit(k), k.n), c.state.amps)
-    return PlainBlock(_read_basis_bits(out, k.n))
+    probs = _inverse_probs(compile_circuit(key_circuit(k), k.n), c.state.amps)
+    return PlainBlock(_read_basis_probs(probs, k.n, "post-inverse state"))
 
 
 @dataclass(frozen=True)

@@ -141,8 +141,16 @@ def _emit(text: str, out: Path | None) -> None:
         out.write_text(text + "\n")
 
 
+def _read_text(path: Path) -> str:
+    """A key or transmission file's text; one that is not UTF-8 is InputError."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def _load_key(path: Path) -> CipherKey:
-    return key_from_json(path.read_text())
+    return key_from_json(_read_text(path))
 
 
 def _zero_bits(n: int) -> str:
@@ -206,7 +214,7 @@ def _cmd_encrypt(args: argparse.Namespace) -> int:
 
 def _cmd_decrypt(args: argparse.Namespace) -> int:
     key = _load_key(args.key)
-    t = transmission_from_json(args.inp.read_text())
+    t = transmission_from_json(_read_text(args.inp))
     cfg = _mode_config(key, t.mode, args.iv)
     blocks = decrypt(key, t, cfg)
     bits = "".join(p.bits for p in blocks)

@@ -10,9 +10,10 @@ Mode 2 (entangling CNOTs): block i's plaintext register is stitched to
 block i-1's ciphertext with one CNOT per qubit (under a pairing permutation
 that can be part of the key) before the key circuit runs on it. All blocks
 live in one joint register, which is why the total width is capped; the
-mode is fully deterministic. Both directions run on the compiled key: its
-table of ciphertexts, one row per basis input, is applied to one block of
-the register at a time.
+mode is fully deterministic. Both directions run on the compiled key, one
+block of the register at a time: encryption multiplies on rows of the key's
+table of ciphertexts (one row per basis input), and decryption runs the
+block cipher's inverse along each block's axis.
 
 The first block of either mode is XORed with a pre-shared initialization
 vector that is stored with the key material, never with the transmission.
@@ -29,9 +30,9 @@ from .cipher import (
     CipherBlock,
     PlainBlock,
     _basis_indices,
+    _encrypt_amps,
     _encrypt_table,
-    _invert_amps,
-    _read_basis_bits,
+    _inverse_probs,
     _read_basis_probs,
     cipherblock_from_obj,
     cipherblock_to_json,
@@ -166,10 +167,9 @@ def mode1_decrypt(k: CipherKey, t: Transmission, cfg: ModeConfig) -> list[PlainB
     iv = cfg.iv
     out: list[PlainBlock] = []
     for i in range(t.m):
-        amps = _invert_amps(cc, t.blocks[i].state.amps)
-        mixed = _read_basis_bits(amps, k.n, f"block {i}")
+        mixed = _read_basis_probs(_inverse_probs(cc, t.blocks[i].state.amps), k.n, f"block {i}")
         out.append(PlainBlock(xor_bits(mixed, iv)))
-        iv = _read_basis_bits(t.iv_carriers[i].amps, k.n, f"IV carrier {i}")
+        iv = _read_basis_probs(np.abs(t.iv_carriers[i].amps) ** 2, k.n, f"IV carrier {i}")
     return out
 
 
@@ -185,9 +185,9 @@ def mode2_encrypt(k: CipherKey, blocks: list[PlainBlock], cfg: ModeConfig) -> Tr
     Block i enters the key circuit as the basis input p_i XOR pi(y_{i-1}),
     where y_{i-1} is block i-1's ciphertext index, so the joint amplitude
     at (y_1, ..., y_m) is T[p_1 ^ iv, y_1] * prod_i T[p_i ^ pi(y_{i-1}), y_i]
-    for the key's table T (row z = ciphertext of input z). Each block after
-    the first costs one row gather from T and one broadcast multiply. A
-    single block is the block cipher's output, with no table built.
+    for the key's table T (row z = ciphertext of input z). The first block
+    is the block cipher's output; each later one costs one row gather from
+    T and one broadcast multiply.
     """
     if cfg.mode is not Mode.ENTANGLING:
         raise InputError("mode2_encrypt requires an entangling-mode config")
@@ -201,53 +201,26 @@ def mode2_encrypt(k: CipherKey, blocks: list[PlainBlock], cfg: ModeConfig) -> Tr
         raise ResourceError(
             f"joint register of {m * k.n} qubits exceeds the {MAX_QUBITS}-qubit cap"
         )
-    first = PlainBlock(xor_bits(blocks[0].bits, cfg.iv))
-    if m == 1:
-        # n may reach the full cap here, where a table would not fit.
-        return Transmission(Mode.ENTANGLING, k.n, 1, joint=encrypt_block(k, first).state)
-    table = _encrypt_table(compile_circuit(key_circuit(k), k.n))
-    pi = _pairing_map(k.n, cfg.mode2_pairing)  # type: ignore[arg-type]
-    size = 1 << k.n
-    amps = table[int(first.bits, 2)]
+    cc = compile_circuit(key_circuit(k), k.n)
+    amps = _encrypt_amps(cc, xor_bits(blocks[0].bits, cfg.iv))
     for p in blocks[1:]:
-        amps = (amps.reshape(-1, size, 1) * table[int(p.bits, 2) ^ pi]).ravel()
+        # A later block means m >= 2, so n <= 12 under the cap. T and pi
+        # are built per block: at m >= 3, n <= 8 and each takes well under
+        # a millisecond.
+        pi = _pairing_map(k.n, cfg.mode2_pairing)  # type: ignore[arg-type]
+        amps = (amps.reshape(-1, 1 << k.n, 1) * _encrypt_table(cc)[int(p.bits, 2) ^ pi]).ravel()
     return Transmission(Mode.ENTANGLING, k.n, m, joint=StateVector(m * k.n, amps))
-
-
-def _unwind(table: np.ndarray, pi: np.ndarray, part: np.ndarray, m: int) -> np.ndarray:
-    """Mode 2's inverse on one real array of m blocks, from the last block
-    to the first: a matrix product with the table T on the block's axis
-    (the key circuit's unitary is T.T, so T undoes it), then, for every
-    block but the first, the gather that takes block i's index p from
-    p ^ pi(y_{i-1})."""
-    size = table.shape[0]
-    chain = (np.arange(size) ^ pi[:, None])[None, :, :, None]
-    # The real or imaginary view of the register is strided; BLAS needs unit stride.
-    part = np.ascontiguousarray(part)
-    for i in range(m, 0, -1):
-        rest = size ** (m - i)
-        # On the last block's axis, one matrix product rather than one
-        # matrix-vector product per prefix.
-        if i == m:
-            part = part.reshape(-1, size) @ table.T
-        else:
-            part = np.matmul(table, part.reshape(-1, size, rest))
-        if i > 1:
-            part = np.take_along_axis(part.reshape(-1, size, size, rest), chain, axis=2)
-    return part.ravel()
 
 
 def mode2_decrypt(k: CipherKey, t: Transmission, cfg: ModeConfig) -> list[PlainBlock]:
     """Unwind the entangled chain from the last block to the first.
 
-    Undoing block i's key (one matrix product with the key's table on that
-    block's axis) leaves it in the basis state p_i XOR pi(y_{i-1}); one
-    gather along the axis at p XOR pi(y_{i-1}) then undoes the pairing
-    CNOTs and disentangles it. The real and imaginary parts run as separate
-    float64 arrays, the imaginary one only when it is nonzero. After the
-    first block the whole register must be a single basis state, read with
-    an argmax plus purity check. A single block takes the block cipher's
-    inverse, with no table built.
+    This is the block cipher's inverse, ``cipher._inverse``, run over m
+    blocks: undoing block i's key leaves it in the basis state
+    p_i XOR pi(y_{i-1}), and one gather along its axis at p XOR pi(y_{i-1})
+    then undoes the pairing CNOTs and disentangles it. After the first
+    block the whole register must be a single basis state, read with an
+    argmax plus purity check.
     """
     if t.mode is not Mode.ENTANGLING:
         raise InputError("mode2_decrypt requires an entangling-mode transmission")
@@ -256,20 +229,9 @@ def mode2_decrypt(k: CipherKey, t: Transmission, cfg: ModeConfig) -> list[PlainB
     if t.m == 0:
         return []
     n, m = k.n, t.m
-    amps = t.joint.amps  # type: ignore[union-attr]
-    cc = compile_circuit(key_circuit(k), n)
-    if m == 1:
-        bits = _read_basis_bits(_invert_amps(cc, amps), n, "joint register")
-    else:
-        table = _encrypt_table(cc)
-        pi = _pairing_map(n, cfg.mode2_pairing)  # type: ignore[arg-type]
-        # Honest ciphertexts are real, so the imaginary part is usually zero.
-        re = _unwind(table, pi, amps.real, m)
-        probs = np.square(re, out=re)
-        if amps.imag.any():
-            im = _unwind(table, pi, amps.imag, m)
-            probs += np.square(im, out=im)
-        bits = _read_basis_probs(probs, m * n, "joint register")
+    pi = _pairing_map(n, cfg.mode2_pairing)  # type: ignore[arg-type]
+    probs = _inverse_probs(compile_circuit(key_circuit(k), n), t.joint.amps, m, pi)  # type: ignore[union-attr]
+    bits = _read_basis_probs(probs, m * n, "joint register")
     chunks = [bits[i * n : (i + 1) * n] for i in range(m)]
     chunks[0] = xor_bits(chunks[0], cfg.iv)
     return [PlainBlock(c) for c in chunks]

@@ -7,8 +7,8 @@ import pytest
 from oracles import classical_cnot_bits, dense_apply
 from qcipher.cipher import (
     CipherBlock,
-    _read_basis_bits,
     PlainBlock,
+    _read_basis_probs,
     cipherblock_from_json,
     cipherblock_to_json,
     decrypt_block,
@@ -216,7 +216,7 @@ def test_cipherblock_json_rejects_nan_amplitude():
 
 def test_purity_read_rejects_nan():
     with pytest.raises(IntegrityError):
-        _read_basis_bits(np.array([math.nan, 0, 0, 0], dtype=complex), 2)
+        _read_basis_probs(np.abs(np.array([math.nan, 0, 0, 0], dtype=complex)) ** 2, 2, "state")
 
 
 @pytest.mark.parametrize("bits", [["0", "1"], ("1", "0"), b"01", 5, None])

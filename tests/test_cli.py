@@ -291,3 +291,28 @@ def test_analyze_checks_eps_and_grid_for_every_kind(keyfile, tmp_path, capsys, k
     assert rc == 1
     assert not report.exists()
     assert word in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decrypt", "--key", "{bad}", "--in", "{msg}", "--out", "{out}"],
+        ["decrypt", "--key", "{key}", "--in", "{bad}", "--out", "{out}"],
+        ["analyze", "--key", "{bad}", "--kind", "confusion", "--out", "{out}"],
+    ],
+    ids=["decrypt-key", "decrypt-in", "analyze-key"],
+)
+def test_non_utf8_input_file_exits_1(keyfile, tmp_path, capsys, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    data = tmp_path / "msg.bin"
+    data.write_bytes(b"\xaa")
+    msg = tmp_path / "t.json"
+    assert main(["encrypt", "--key", str(keyfile), "--mode", "m1", "--in", str(data), "--out", str(msg)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    paths = {"bad": bad, "key": keyfile, "msg": msg, "out": out}
+    assert main([a.format(**paths) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not UTF-8" in err
+    assert not out.exists()

@@ -12,10 +12,13 @@ from qcipher.cipher import (
     PlainBlock,
     _encrypt_amps,
     _encrypt_table,
-    _invert_amps,
-    _read_basis_bits,
+    _inverse,
+    _inverse_probs,
+    _read_basis_probs,
     apply_circuit,
+    decrypt_block,
     encode_plaintext,
+    encrypt_block,
 )
 from qcipher.errors import InputError, IntegrityError
 from qcipher.keyschedule import (
@@ -34,22 +37,35 @@ def _matrix(cols, n):
     return np.array([[bool(cols[j] >> (n - 1 - m) & 1) for j in range(n)] for m in range(n)])
 
 
-def _gate_by_gate_read(ops, amps, n):
-    return apply_circuit(StateVector(n, amps), list(reversed(ops))).amps
+# Fixed before measuring. The compiled inverse multiplies a block by at most
+# three group matrices (n <= 24 in groups of at most 8 qubits). Each entry of
+# a product is a dot product of at most 2^8 terms whose absolute values sum
+# to at most 1 (a unit row against part of a unit vector), so it is off by
+# at most about 2^8 * 2^-53 (Higham's gamma_k bound), and three groups by at
+# most 3 * 2^8 * 2^-53 = 8.5e-14. The gate-by-gate reference adds n two-term
+# sums per amplitude, far less.
+INVERSE_AMP_TOL = 1e-13
 
 
-def _compiled_read(ops, amps, n):
-    return _invert_amps(compile_circuit(ops, n), amps)
-
-
-def _outcome(read, ops, amps, n):
-    """Post-inverse amplitudes and the purity read: plaintext bits, or the
-    IntegrityError type."""
-    out = read(ops, amps, n)
+def _read(probs, n):
+    """The purity read: plaintext bits, or the IntegrityError type."""
     try:
-        return out, _read_basis_bits(out, n)
+        return _read_basis_probs(probs, n, "post-inverse state")
     except IntegrityError:
-        return out, IntegrityError
+        return IntegrityError
+
+
+def _inverse_read(ops, amps, n):
+    """The compiled inverse of ``ops`` on ``amps`` against the reversed gate
+    list: real and imaginary amplitudes within INVERSE_AMP_TOL and the same
+    read, which is returned."""
+    ref = apply_circuit(StateVector(n, amps), list(reversed(ops))).amps
+    cc = compile_circuit(ops, n)
+    assert np.max(np.abs(_inverse(cc, amps.real) - ref.real)) <= INVERSE_AMP_TOL
+    assert np.max(np.abs(_inverse(cc, amps.imag) - ref.imag)) <= INVERSE_AMP_TOL
+    read = _read(_inverse_probs(cc, amps), n)
+    assert read == _read(np.abs(ref) ** 2, n)
+    return read
 
 
 @given(
@@ -71,21 +87,15 @@ def test_compiled_path_matches_gate_by_gate(n, N, through_step, seed):
     cipher = apply_circuit(encode_plaintext(bits), ops).amps
     assert np.array_equal(_encrypt_amps(cc, bits), cipher)
 
-    amps_ref, read_ref = _outcome(_gate_by_gate_read, ops, cipher, n)
-    amps_new, read_new = _outcome(_compiled_read, ops, cipher, n)
-    assert np.array_equal(amps_new, amps_ref)
-    assert read_new == read_ref == bits
+    assert _inverse_read(ops, cipher, n) == bits
 
     # Sign-flip the largest amplitude. With guarded angles (N >= 16) every
     # rotation makes a superposition, so the result is never a basis state.
     tampered = cipher.copy()
     tampered[np.argmax(np.abs(tampered))] *= -1.0
-    amps_ref, read_ref = _outcome(_gate_by_gate_read, ops, tampered, n)
-    amps_new, read_new = _outcome(_compiled_read, ops, tampered, n)
-    assert np.array_equal(amps_new, amps_ref)
-    assert read_new == read_ref
+    read = _inverse_read(ops, tampered, n)
     if N >= 16:
-        assert read_new is IntegrityError
+        assert read is IntegrityError
 
     # A wrong key one grid step away on one angle leaves a residual rotation
     # by 2*pi/N, a superposition whenever N >= 8.
@@ -93,12 +103,41 @@ def test_compiled_path_matches_gate_by_gate(n, N, through_step, seed):
     j = int(rng.integers(0, n))
     theta[j] = (theta[j] + 1) % N
     wrong = key_circuit(CipherKey(n, N, tuple(theta), k.step3_pairs, k.step4_upstream_order), through_step)
-    amps_ref, read_ref = _outcome(_gate_by_gate_read, wrong, cipher, n)
-    amps_new, read_new = _outcome(_compiled_read, wrong, cipher, n)
-    assert np.array_equal(amps_new, amps_ref)
-    assert read_new == read_ref
+    read = _inverse_read(wrong, cipher, n)
     if N >= 8:
-        assert read_new is IntegrityError
+        assert read is IntegrityError
+
+
+@pytest.mark.parametrize("n, seed", [(17, 3), (18, 4)])
+def test_three_group_inverse_matches_gate_by_gate(n, seed):
+    # Above 16 qubits the inverse runs three group matrices and no table.
+    rng = np.random.default_rng(seed)
+    k = generate_key(n, 256, rng)
+    bits = "".join(str(b) for b in rng.integers(0, 2, size=n))
+    ops = key_circuit(k)
+    cipher = apply_circuit(encode_plaintext(bits), ops).amps
+    assert np.array_equal(_encrypt_amps(compile_circuit(ops, n), bits), cipher)
+
+    flipped = cipher.copy()
+    flipped[np.argmax(np.abs(cipher))] *= -1.0
+    perturbed = cipher.copy()
+    perturbed[np.argmin(np.abs(cipher))] += 0.1j
+    perturbed /= np.linalg.norm(perturbed)
+    theta = list(k.theta_indices)
+    theta[int(rng.integers(0, n))] ^= 1
+    wrong = key_circuit(CipherKey(n, 256, tuple(theta), k.step3_pairs, k.step4_upstream_order))
+    assert _inverse_read(ops, cipher, n) == bits
+    assert _inverse_read(ops, cipher * np.exp(0.7j), n) == bits
+    assert _inverse_read(ops, flipped, n) is IntegrityError
+    assert _inverse_read(ops, perturbed, n) is IntegrityError
+    assert _inverse_read(wrong, cipher, n) is IntegrityError
+
+
+def test_block_round_trip_at_22_qubits():
+    rng = np.random.default_rng(22)
+    k = generate_key(22, 256, rng)
+    p = PlainBlock("".join(str(b) for b in rng.integers(0, 2, size=22)))
+    assert decrypt_block(k, encrypt_block(k, p)) == p
 
 
 def test_compiled_columns_of_a_small_network():
@@ -167,7 +206,8 @@ def test_compiled_mode2_matches_gate_by_gate(n, m, N, seed):
     assert np.max(np.abs(t.joint.amps - ref.amps)) <= MODE2_AMP_TOL
 
     def oracle_read(key, state, pair):
-        bits = _read_basis_bits(mode2_gate_by_gate_inverse(key, state, pair), n * m)
+        amps = mode2_gate_by_gate_inverse(key, state, pair)
+        bits = _read_basis_probs(np.abs(amps) ** 2, n * m, "joint register")
         chunks = [bits[i * n : (i + 1) * n] for i in range(m)]
         chunks[0] = format(int(chunks[0], 2) ^ int(iv, 2), f"0{n}b")
         return chunks
