@@ -95,6 +95,13 @@ def _basis_indices(cols: tuple[int, ...]) -> np.ndarray:
     return idx
 
 
+def _pairing_map(n: int, pairing: tuple[int, ...]) -> np.ndarray:
+    """``pi[y]``: the mask mode 2's pairing CNOTs XOR into the next block when
+    the previous ciphertext is basis index y (bit q of y lands on bit
+    pairing[q-1])."""
+    return _basis_indices(tuple(1 << (n - t) for t in pairing))
+
+
 def _kron(thetas: tuple[float, ...], bits: str | None = None) -> np.ndarray:
     """The Kronecker product of the rotations ``[[c, s], [s, -c]]`` in qubit
     order, or, given ``bits``, of their rows ``bits[q]``: the product state
@@ -129,10 +136,10 @@ def _encrypt_table(cc: CompiledCircuit) -> np.ndarray:
     return out
 
 
-def _inverse(cc: CompiledCircuit, part: np.ndarray, m: int = 1, pi: np.ndarray | None = None) -> np.ndarray:
+def _inverse(cc: CompiledCircuit, part: np.ndarray, m: int = 1, pairing: tuple[int, ...] = ()) -> np.ndarray:
     """The inverse circuit on one real array of m blocks of cc.n qubits,
     from the last block to the first; m = 1 is the block cipher, m > 1 is
-    mode 2 with the pairing map ``pi`` (see ``modes._pairing_map``).
+    mode 2 under the CNOT ``pairing`` (see ``_pairing_map``).
 
     On each block's axis, one gather undoes A (the amplitude at x comes
     from A x), then the self-inverse rotation layer runs as one matrix
@@ -143,6 +150,9 @@ def _inverse(cc: CompiledCircuit, part: np.ndarray, m: int = 1, pi: np.ndarray |
     """
     n, size = cc.n, 1 << cc.n
     groups = -(-n // _GROUP)
+    # The fold saves one pass over the register per block: the m2-cap
+    # benchmark (n = 8) takes about a fifth longer without it
+    # (BENCH_inverse.json, "fold_check").
     if groups == 1:
         idx, mats = None, [_encrypt_table(cc)]
     else:
@@ -167,19 +177,19 @@ def _inverse(cc: CompiledCircuit, part: np.ndarray, m: int = 1, pi: np.ndarray |
         if i > 1:
             # Built only here: i > 1 means m >= 2, so n <= 12 under the
             # cap and this 2^n x 2^n index array fits.
-            chain = (np.arange(size) ^ pi[:, None])[None, :, :, None]  # type: ignore[index]
+            chain = (np.arange(size) ^ _pairing_map(n, pairing)[:, None])[None, :, :, None]
             part = np.take_along_axis(part.reshape(-1, size, size, rest), chain, axis=2)
     return part.ravel()
 
 
-def _inverse_probs(cc: CompiledCircuit, amps: np.ndarray, m: int = 1, pi: np.ndarray | None = None) -> np.ndarray:
+def _inverse_probs(cc: CompiledCircuit, amps: np.ndarray, m: int = 1, pairing: tuple[int, ...] = ()) -> np.ndarray:
     """Basis probabilities after the inverse circuit. The real and imaginary
     parts run as separate float64 arrays; honest ciphertexts are real, so
     the imaginary one runs only when it is nonzero."""
-    re = _inverse(cc, amps.real, m, pi)
+    re = _inverse(cc, amps.real, m, pairing)
     probs = np.square(re, out=re)
     if amps.imag.any():
-        im = _inverse(cc, amps.imag, m, pi)
+        im = _inverse(cc, amps.imag, m, pairing)
         probs += np.square(im, out=im)
     return probs
 

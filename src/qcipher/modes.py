@@ -29,10 +29,10 @@ import numpy as np
 from .cipher import (
     CipherBlock,
     PlainBlock,
-    _basis_indices,
     _encrypt_amps,
     _encrypt_table,
     _inverse_probs,
+    _pairing_map,
     _read_basis_probs,
     cipherblock_from_obj,
     cipherblock_to_json,
@@ -173,12 +173,6 @@ def mode1_decrypt(k: CipherKey, t: Transmission, cfg: ModeConfig) -> list[PlainB
     return out
 
 
-def _pairing_map(n: int, pairing: tuple[int, ...]) -> np.ndarray:
-    """``pi[y]``: the mask the pairing CNOTs XOR into the next block when the
-    previous ciphertext is basis index y (bit q of y lands on bit pairing[q-1])."""
-    return _basis_indices(tuple(1 << (n - t) for t in pairing))
-
-
 def mode2_encrypt(k: CipherKey, blocks: list[PlainBlock], cfg: ModeConfig) -> Transmission:
     """Chain blocks through entangling CNOTs into one joint register.
 
@@ -229,8 +223,7 @@ def mode2_decrypt(k: CipherKey, t: Transmission, cfg: ModeConfig) -> list[PlainB
     if t.m == 0:
         return []
     n, m = k.n, t.m
-    pi = _pairing_map(n, cfg.mode2_pairing)  # type: ignore[arg-type]
-    probs = _inverse_probs(compile_circuit(key_circuit(k), n), t.joint.amps, m, pi)  # type: ignore[union-attr]
+    probs = _inverse_probs(compile_circuit(key_circuit(k), n), t.joint.amps, m, cfg.mode2_pairing)  # type: ignore[arg-type, union-attr]
     bits = _read_basis_probs(probs, m * n, "joint register")
     chunks = [bits[i * n : (i + 1) * n] for i in range(m)]
     chunks[0] = xor_bits(chunks[0], cfg.iv)

@@ -3,7 +3,7 @@ the gate-by-gate simulator it replaces in the block cipher and in mode 2."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import cnot_matrix, mode2_gate_by_gate, mode2_gate_by_gate_inverse
@@ -184,6 +184,10 @@ def _mode2_outcome(decrypt):
     N=st.sampled_from([4, 16, 256]),
     seed=st.integers(0, 2**32 - 1),
 )
+# Two blocks of 9 qubits: the inverse splits each block into two groups and
+# multiplies the first block's groups with the second block's axis behind it.
+@example(n=9, m=2, N=256, seed=9)
+@example(n=9, m=2, N=16, seed=10)
 @settings(max_examples=60, deadline=None)
 def test_compiled_mode2_matches_gate_by_gate(n, m, N, seed):
     # The gate-by-gate oracle takes seconds per call above 18 qubits; the
@@ -207,6 +211,12 @@ def test_compiled_mode2_matches_gate_by_gate(n, m, N, seed):
 
     def oracle_read(key, state, pair):
         amps = mode2_gate_by_gate_inverse(key, state, pair)
+        # The compiled inverse's real and imaginary amplitudes against the
+        # oracle's. Over all m blocks it runs at most three groups' worth of
+        # 2^8-term dot products (n * m <= 24), so INVERSE_AMP_TOL holds.
+        cck = compile_circuit(key_circuit(key), n)
+        for part, ref in ((state.amps.real, amps.real), (state.amps.imag, amps.imag)):
+            assert np.max(np.abs(_inverse(cck, part, m, pair) - ref)) <= INVERSE_AMP_TOL
         bits = _read_basis_probs(np.abs(amps) ** 2, n * m, "joint register")
         chunks = [bits[i * n : (i + 1) * n] for i in range(m)]
         chunks[0] = format(int(chunks[0], 2) ^ int(iv, 2), f"0{n}b")
@@ -252,11 +262,14 @@ def test_compiled_mode2_matches_gate_by_gate(n, m, N, seed):
 
 
 def test_mode2_single_block_takes_the_block_path(monkeypatch):
-    # At n = 16 a key table would hold 2^32 entries; one block never builds it.
-    def no_table(cc):
-        raise AssertionError("a single mode-2 block built a key table")
+    # At n = 16 a key table would hold 2^32 entries and a pairing map 2^16;
+    # one block builds neither, in either direction.
+    def refuse(*args):
+        raise AssertionError("a single mode-2 block built a key table or a pairing map")
 
-    monkeypatch.setattr(modes, "_encrypt_table", no_table)
+    for module in ("qcipher.modes", "qcipher.cipher"):
+        monkeypatch.setattr(f"{module}._encrypt_table", refuse)
+        monkeypatch.setattr(f"{module}._pairing_map", refuse)
     k = generate_key(16, 256, np.random.default_rng(5))
     cfg = modes.ModeConfig(modes.Mode.ENTANGLING, "0110100110010110")
     block = PlainBlock("1010011100001111")
