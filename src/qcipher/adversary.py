@@ -20,7 +20,7 @@ import numpy as np
 
 from .cipher import CipherBlock, PlainBlock, _encrypt_amps, _inverse_probs, encrypt_block
 from .errors import InputError, ResourceError
-from .keyschedule import CipherKey, compile_circuit, enumerate_keys, key_circuit, keyspace_size
+from .keyschedule import CipherKey, CompiledCircuit, compile_circuit, enumerate_keys, key_circuit, keyspace_size
 from .statevector import StateVector, fidelity, index_to_bits, measure_all
 
 BRUTE_FORCE_CAP = 10**6
@@ -76,12 +76,19 @@ def intercept_measure(c: StateVector, rng: np.random.Generator) -> tuple[StateVe
     return outcome.collapsed, outcome.bits
 
 
+def _read_probs(cc: CompiledCircuit, amps: np.ndarray) -> np.ndarray:
+    """The receiver's read distribution: the inverse circuit's basis
+    probabilities, normalized."""
+    probs = _inverse_probs(cc, amps)
+    probs /= probs.sum()
+    return probs
+
+
 def sampled_decrypt_bits(k: CipherKey, state: StateVector, rng: np.random.Generator) -> str:
     """The receiver's physical read: inverse circuit, then one measurement."""
     if state.n != k.n:
         raise InputError(f"state has {state.n} qubits, key expects {k.n}")
-    probs = _inverse_probs(compile_circuit(key_circuit(k), k.n), state.amps)
-    probs /= probs.sum()
+    probs = _read_probs(compile_circuit(key_circuit(k), k.n), state.amps)
     return index_to_bits(int(rng.choice(probs.size, p=probs)), k.n)
 
 
@@ -106,39 +113,32 @@ def detection_experiment(
     ciphertext = encrypt_block(k, p).state
     collision = collision_probability(ciphertext)
     cc = compile_circuit(key_circuit(k), k.n)
+    target = int(p.bits, 2)
 
-    # Decode probabilities depend only on Eve's collapse outcome, so cache
-    # the inverse-circuit distribution per observed basis state.
-    decode_cache: dict[str, np.ndarray] = {}
-
-    def _decode_probs(state: StateVector, bits_key: str | None) -> np.ndarray:
-        if bits_key is not None and bits_key in decode_cache:
-            return decode_cache[bits_key]
-        probs = _inverse_probs(cc, state.amps)
-        probs /= probs.sum()
-        if bits_key is not None:
-            decode_cache[bits_key] = probs
-        return probs
+    # Each copy is two draws. Eve's draw is measure_all's on the ciphertext;
+    # the receiver's depends only on her outcome, so each outcome's read
+    # distribution is computed once.
+    eve_probs = np.abs(ciphertext.amps) ** 2
+    eve_probs /= eve_probs.sum()
+    reads: dict[int, np.ndarray] = {}
+    honest_probs = _read_probs(cc, ciphertext.amps)
 
     detections = 0
     copy_passes = 0
     total_copies = trials * r
-    honest_probs = _decode_probs(ciphertext, None)
     for _ in range(trials):
-        all_passed = True
+        passes = 0
         for _ in range(r):
             if eve_on:
-                forwarded, eve_bits = intercept_measure(ciphertext, rng)
-                probs = _decode_probs(forwarded, eve_bits)
+                seen = int(rng.choice(eve_probs.size, p=eve_probs))
+                if seen not in reads:
+                    reads[seen] = _read_probs(cc, np.eye(1, eve_probs.size, seen)[0])
+                probs = reads[seen]
             else:
                 probs = honest_probs
-            got = index_to_bits(int(rng.choice(probs.size, p=probs)), k.n)
-            if got == p.bits:
-                copy_passes += 1
-            else:
-                all_passed = False
-        if not all_passed:
-            detections += 1
+            passes += int(rng.choice(probs.size, p=probs)) == target
+        copy_passes += passes
+        detections += passes < r
 
     detection_rate = detections / trials
     pass_rate = copy_passes / total_copies

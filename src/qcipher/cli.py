@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -135,10 +135,13 @@ def _build_parser() -> _Parser:
 
 
 def _emit(text: str, out: Path | None) -> None:
+    """Print ``text`` to ``out``, or to stdout. print writes the newline
+    after the text, so no second copy of a large text is made."""
     if out is None:
         print(text)
     else:
-        out.write_text(text + "\n")
+        with out.open("w") as f:
+            print(text, file=f)
 
 
 def _read_text(path: Path) -> str:
@@ -153,10 +156,6 @@ def _load_key(path: Path) -> CipherKey:
     return key_from_json(_read_text(path))
 
 
-def _zero_bits(n: int) -> str:
-    return "0" * n
-
-
 def _bytes_to_bits(data: bytes) -> str:
     return "".join(format(b, "08b") for b in data)
 
@@ -167,8 +166,13 @@ def _bits_to_bytes(bits: str) -> bytes:
     return bytes(int(bits[i : i + 8], 2) for i in range(0, len(bits), 8))
 
 
+def _plaintext(args: argparse.Namespace, key: CipherKey) -> PlainBlock:
+    """The --plaintext block, all zeros by default."""
+    return PlainBlock(args.plaintext or "0" * key.n)
+
+
 def _mode_config(key: CipherKey, mode: Mode, iv: str | None) -> ModeConfig:
-    iv_bits = iv if iv is not None else _zero_bits(key.n)
+    iv_bits = iv if iv is not None else "0" * key.n
     if len(iv_bits) != key.n:
         raise InputError(f"iv must be {key.n} bits, got {len(iv_bits)}")
     if mode is Mode.ENTANGLING:
@@ -178,7 +182,7 @@ def _mode_config(key: CipherKey, mode: Mode, iv: str | None) -> ModeConfig:
 
 def _cmd_keygen(args: argparse.Namespace) -> int:
     key = generate_key(args.n, args.N, np.random.default_rng(args.seed))
-    args.out.write_text(key_to_json(key) + "\n")
+    _emit(key_to_json(key), args.out)
     size, log2 = keyspace_size(args.n, args.N)
     if args.json:
         print(json.dumps({"out": str(args.out), "n": args.n, "N": args.N,
@@ -204,7 +208,7 @@ def _cmd_encrypt(args: argparse.Namespace) -> int:
     blocks = [PlainBlock(bits[i : i + key.n]) for i in range(0, len(bits), key.n)]
     cfg = _mode_config(key, mode, args.iv)
     t = encrypt(key, blocks, cfg, np.random.default_rng(args.seed))
-    args.out.write_text(transmission_to_json(t) + "\n")
+    _emit(transmission_to_json(t), args.out)
     if args.json:
         print(json.dumps({"out": str(args.out), "mode": mode.value, "blocks": len(blocks)}))
     else:
@@ -231,7 +235,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     _check_probe(args.eps, args.grid)
     key = _load_key(args.key)
     through = _ABLATION_STEPS[args.ablate]
-    plaintext = PlainBlock(args.plaintext) if args.plaintext else PlainBlock(_zero_bits(key.n))
+    plaintext = _plaintext(args, key)
 
     if args.kind == "confusion":
         report = confusion_check(key, through_step=through)
@@ -248,18 +252,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             epsilon=args.eps, grid=args.grid,
         )
         passed = rules.passed
-        text = json.dumps({
-            "n": rules.n,
-            "trials": rules.trials,
-            "epsilon": rules.epsilon,
-            "grid": rules.grid,
-            "locality_violations": list(rules.locality_violations),
-            "transfer_violations": list(rules.transfer_violations),
-            "retention_violations": list(rules.retention_violations),
-            "shared_cancellations": list(rules.shared_cancellations),
-            "parity_violations": list(rules.parity_violations),
-            "pass": passed,
-        })
+        text = json.dumps({**asdict(rules), "pass": passed})
     _emit(text, args.out)
     return 0 if passed else 1
 
@@ -280,14 +273,14 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
     if args.kind == "intercept":
         key = _attack_key(args)
-        plaintext = PlainBlock(args.plaintext) if args.plaintext else PlainBlock(_zero_bits(key.n))
+        plaintext = _plaintext(args, key)
         report = detection_experiment(key, plaintext, args.r, True, rng, trials=args.trials)
         _emit(report.to_json(), args.out)
         return 0
 
     if args.kind == "stats":
         key = _attack_key(args)
-        plaintext = PlainBlock(args.plaintext) if args.plaintext else PlainBlock(_zero_bits(key.n))
+        plaintext = _plaintext(args, key)
         estimates = marginal_estimation_attack(
             key, plaintext, args.samples, rng, step1_only=not args.full_circuit
         )
@@ -309,7 +302,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     # brute force: a --key file sets n and N; the enumerated keys carry no
     # mode-2 pairing, so the true key is looked up without one.
     key = _attack_key(args)
-    plaintext = PlainBlock(args.plaintext) if args.plaintext else PlainBlock(_zero_bits(key.n))
+    plaintext = _plaintext(args, key)
     ciphertext = encrypt_block(key, plaintext)
     consistent = brute_force_key_recovery(key.n, key.N, (plaintext, ciphertext))
     size, _ = keyspace_size(key.n, key.N)

@@ -254,15 +254,25 @@ def decrypt(k: CipherKey, t: Transmission, cfg: ModeConfig) -> list[PlainBlock]:
 # Transmission file: an envelope around statevector payload entries. The IV
 # itself is never serialized here; it belongs with the key material.
 
+def _layout(mode: Mode, n: int, m: int) -> list[tuple[str, int, int]]:
+    """Each payload entry as (tag, block_index, qubits), in file order: per
+    block its ciphertext then its IV carrier, or one joint register."""
+    if mode is Mode.MEASURED:
+        return [entry for i in range(m) for entry in (("m1", i, n), ("iv", i, n))]
+    return [("m2", 0, m * n)] if m else []
+
+
 def transmission_to_json(t: Transmission) -> str:
-    entries: list[CipherBlock] = []
     if t.mode is Mode.MEASURED:
-        for i, (b, carrier) in enumerate(zip(t.blocks, t.iv_carriers)):
-            # Tagged "m1" whatever the block's own tag, so the file reads back.
-            entries += [CipherBlock(b.state, b.block_index, "m1"), CipherBlock(carrier, i, "iv")]
-    elif t.m > 0:
-        entries.append(CipherBlock(t.joint, 0, "m2"))  # type: ignore[arg-type]
-    payload = ", ".join(cipherblock_to_json(e) for e in entries)
+        states = [s for b, carrier in zip(t.blocks, t.iv_carriers) for s in (b.state, carrier)]
+    else:
+        states = [t.joint] if t.m else []
+    # Tags and indices come from the layout, whatever the blocks carry, so
+    # the file reads back.
+    payload = ", ".join(
+        cipherblock_to_json(CipherBlock(state, index, tag))  # type: ignore[arg-type]
+        for state, (tag, index, _) in zip(states, _layout(t.mode, t.n, t.m))
+    )
     return (
         f'{{"mode": "{t.mode.value}", "n": {t.n}, "m": {t.m}, '
         f'"iv_public": false, "payload": [{payload}]}}'
@@ -286,30 +296,16 @@ def transmission_from_json(text: str) -> Transmission:
     payload = obj["payload"]
     if not isinstance(payload, list):
         raise InputError('"payload" must be a list')
-
+    # Counted before the layout is built: m comes from the file.
+    expected = 2 * m if mode is Mode.MEASURED else min(m, 1)
+    if len(payload) != expected:
+        raise InputError(f"expected {expected} payload entries, got {len(payload)}")
+    entries = []
+    for j, (entry, (tag, index, qubits)) in enumerate(zip(payload, _layout(mode, n, m))):
+        cb = cipherblock_from_obj(entry)
+        if cb.mode != tag or cb.block_index != index or cb.state.n != qubits:
+            raise InputError(f'payload entry {j} is not "{tag}" block {index} of {qubits} qubits')
+        entries.append(cb)
     if mode is Mode.MEASURED:
-        if len(payload) != 2 * m:
-            raise InputError(f"expected {2 * m} payload entries, got {len(payload)}")
-        blocks: list[CipherBlock] = []
-        carriers: list[StateVector] = []
-        for i in range(m):
-            cb = cipherblock_from_obj(payload[2 * i])
-            if cb.mode != "m1" or cb.block_index != i or cb.state.n != n:
-                raise InputError(f"payload entry {2 * i} is not ciphertext block {i}")
-            blocks.append(cb)
-            carrier = cipherblock_from_obj(payload[2 * i + 1])
-            if carrier.mode != "iv" or carrier.block_index != i or carrier.state.n != n:
-                raise InputError(f"payload entry {2 * i + 1} is not IV carrier {i}")
-            carriers.append(carrier.state)
-        return Transmission(mode, n, m, tuple(blocks), tuple(carriers))
-
-    if m == 0:
-        if payload:
-            raise InputError("empty transmission must have an empty payload")
-        return Transmission(mode, n, 0)
-    if len(payload) != 1:
-        raise InputError("entangling transmissions carry exactly one payload entry")
-    joint = cipherblock_from_obj(payload[0])
-    if joint.mode != "m2" or joint.block_index != 0 or joint.state.n != m * n:
-        raise InputError(f"payload entry is not a joint register of {m * n} qubits")
-    return Transmission(mode, n, m, joint=joint.state)
+        return Transmission(mode, n, m, tuple(entries[0::2]), tuple(e.state for e in entries[1::2]))
+    return Transmission(mode, n, m, joint=entries[0].state if entries else None)

@@ -86,6 +86,29 @@ def test_detection_rate_zero_without_eve():
     assert report.counts["detections"] == 0
 
 
+def _per_copy_counts(k, p, r, eve_on, g, trials):
+    """detection_experiment's counts, one intercept and one read per copy."""
+    c = encrypt_block(k, p).state
+    detections = passes = 0
+    for _ in range(trials):
+        ok = 0
+        for _ in range(r):
+            state = intercept_measure(c, g)[0] if eve_on else c
+            ok += sampled_decrypt_bits(k, state, g) == p.bits
+        passes += ok
+        detections += ok < r
+    return {"detections": detections, "copy_passes": passes, "copies": trials * r}
+
+
+@pytest.mark.parametrize("eve_on", [True, False])
+@pytest.mark.parametrize("n, N, r, trials", [(2, 4, 1, 60), (3, 8, 3, 40), (5, 32, 2, 40), (8, 256, 5, 20)])
+def test_detection_counts_match_a_per_copy_loop(n, N, r, trials, eve_on):
+    k = generate_key(n, N, np.random.default_rng(n))
+    p = PlainBlock(format(5 % (1 << n), f"0{n}b"))
+    report = detection_experiment(k, p, r, eve_on, np.random.default_rng(100 + n), trials=trials)
+    assert report.counts == _per_copy_counts(k, p, r, eve_on, np.random.default_rng(100 + n), trials)
+
+
 def test_per_copy_pass_matches_collision_probability():
     k = generate_key(8, 256, np.random.default_rng(10))
     p = PlainBlock("00000000")

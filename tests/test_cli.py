@@ -161,6 +161,25 @@ def test_analyze_rules_report(keyfile, tmp_path):
     assert obj["pass"] is True
 
 
+RULES_REPORT = (
+    '{"n": 6, "trials": 20, "epsilon": 1e-06, "grid": 8, "locality_violations": [], '
+    '"transfer_violations": [], "retention_violations": [], "shared_cancellations": '
+    '["trial 7: 6->3 cancelled shared dependence 6", "trial 9: 5->4 cancelled shared dependence 5", '
+    '"trial 12: 3->5 cancelled shared dependence 3", "trial 14: 3->5 cancelled shared dependence 3", '
+    '"trial 15: 3->1 cancelled shared dependence 3"], "parity_violations": [], "pass": true}\n'
+)
+
+
+def test_analyze_rules_report_text_is_pinned(keyfile, tmp_path):
+    # The whole file: every field of DependenceRuleReport in field order,
+    # then "pass", then one newline.
+    report = tmp_path / "r.json"
+    rc = main(["analyze", "--key", str(keyfile), "--kind", "rules", "--trials", "20",
+               "--seed", "5", "--out", str(report)])
+    assert rc == 0
+    assert report.read_text() == RULES_REPORT
+
+
 def test_attack_bounds(tmp_path, capsys):
     rc = main(["attack", "--kind", "bounds", "--n", "5", "--L", "10", "--json"])
     assert rc == 0

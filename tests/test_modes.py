@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import reduced_purity
-from qcipher.cipher import PlainBlock, encrypt_block, xor_bits
+from qcipher.cipher import CipherBlock, PlainBlock, encrypt_block, xor_bits
 from qcipher.errors import InputError, IntegrityError, ResourceError
 from qcipher import modes
 from qcipher.keyschedule import CipherKey, generate_key
@@ -249,6 +249,20 @@ def test_transmission_json_round_trip_mode2():
     back = transmission_from_json(transmission_to_json(t))
     assert np.array_equal(back.joint.amps, t.joint.amps)
     assert mode2_decrypt(k, back, cfg) == blocks_of("101100", "010011", "111111")
+
+
+def test_transmission_built_in_code_round_trips():
+    # Blocks made as CipherBlock(state) carry index 0 and tag "raw"; the
+    # file takes each entry's tag and index from the payload layout.
+    k = key6(22)
+    blocks = blocks_of("101100", "010011", "111000")
+    cfg = ModeConfig(Mode.MEASURED, "011010")
+    sent = mode1_encrypt(k, blocks, cfg, np.random.default_rng(3))
+    t = Transmission(Mode.MEASURED, 6, 3, tuple(CipherBlock(b.state) for b in sent.blocks), sent.iv_carriers)
+    assert mode1_decrypt(k, t, cfg) == blocks
+    text = transmission_to_json(t)
+    assert mode1_decrypt(k, transmission_from_json(text), cfg) == blocks
+    assert text == transmission_to_json(sent)
 
 
 def test_transmission_envelope_fields():
