@@ -340,7 +340,9 @@ def _require_int(obj: dict, field: str) -> int:
 def key_from_json(text: str) -> CipherKey:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # Besides syntax errors: an integer of over 4,300 digits is a
+        # ValueError and deep nesting a RecursionError.
         raise InputError(f"invalid key JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise InvalidKeyError("key file must contain a JSON object")

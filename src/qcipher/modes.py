@@ -12,8 +12,11 @@ that can be part of the key) before the key circuit runs on it. All blocks
 live in one joint register, which is why the total width is capped; the
 mode is fully deterministic. Both directions run on the compiled key, one
 block of the register at a time: encryption multiplies on rows of the key's
-table of ciphertexts (one row per basis input), and decryption runs the
-block cipher's inverse along each block's axis.
+table of ciphertexts (one row per basis input). Decryption of two or more
+blocks guesses the plaintext from the register's largest amplitude and
+checks the guess with one contraction against those rows; only a failed
+check, or a single block, runs the block cipher's inverse along each
+block's axis.
 
 The first block of either mode is XORed with a pre-shared initialization
 vector that is stored with the key material, never with the transmission.
@@ -21,14 +24,17 @@ vector that is stored with the key material, never with the transmission.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .cipher import (
+    PURITY_TOL,
     CipherBlock,
     PlainBlock,
+    _basis_indices,
     _encrypt_amps,
     _encrypt_table,
     _inverse_probs,
@@ -40,8 +46,8 @@ from .cipher import (
     xor_bits,
 )
 from .errors import InputError, ResourceError
-from .keyschedule import CipherKey, compile_circuit, key_circuit
-from .statevector import MAX_QUBITS, StateVector, _check_bits, _load_json, measure_all
+from .keyschedule import CipherKey, CompiledCircuit, compile_circuit, key_circuit
+from .statevector import MAX_QUBITS, StateVector, _check_bits, _load_json, index_to_bits, measure_all
 
 
 class Mode(str, Enum):
@@ -206,15 +212,70 @@ def mode2_encrypt(k: CipherKey, blocks: list[PlainBlock], cfg: ModeConfig) -> Tr
     return Transmission(Mode.ENTANGLING, k.n, m, joint=StateVector(m * k.n, amps))
 
 
-def mode2_decrypt(k: CipherKey, t: Transmission, cfg: ModeConfig) -> list[PlainBlock]:
-    """Unwind the entangled chain from the last block to the first.
+def _mode2_read(cc: CompiledCircuit, amps: np.ndarray, m: int, pairing: tuple[int, ...]) -> str | None:
+    """The post-inverse basis index of a register of m >= 2 blocks, as bits,
+    found without running the inverse; None when the guess fails its check.
 
-    This is the block cipher's inverse, ``cipher._inverse``, run over m
-    blocks: undoing block i's key leaves it in the basis state
-    p_i XOR pi(y_{i-1}), and one gather along its axis at p XOR pi(y_{i-1})
-    then undoes the pairing CNOTs and disentangles it. After the first
-    block the whole register must be a single basis state, read with an
-    argmax plus purity check.
+    Guess: take y = argmax |amps| and split it into blocks y_1..y_m. Input
+    z of the key circuit has its largest amplitude at A(z ^ flip), where
+    bit q of ``flip`` is set iff |sin theta_q| > |cos theta_q|, so block i's
+    input is z_i = A^-1 y_i ^ flip. The post-inverse index is z_1 (that is
+    p_1 ^ iv) followed by p_i = z_i ^ pi(y_{i-1}).
+
+    Check: the circuit U is unitary, so the index's post-inverse probability
+    is |<Up|psi>|^2 (Nielsen & Chuang, section 2.1). The overlap contracts
+    the register against the guess's chain, last block first: each block
+    is one gather of the key's table T at p_i ^ pi and one batched product
+    along its axis, and the first block is a dot with row T[z_1]. The
+    register's real and imaginary parts run together, as the interleaved
+    float64 pairs they are stored as, in one pass that makes no copy.
+    """
+    n, size = cc.n, 1 << cc.n
+    # m >= 2 means n <= 12 under the cap, so T, pi and A^-1 fit.
+    table = _encrypt_table(cc)
+    pi = _pairing_map(n, pairing)
+    unmix = np.argsort(_basis_indices(cc.cols))
+    flip = int("".join("1" if abs(math.sin(t)) > abs(math.cos(t)) else "0" for t in cc.thetas), 2)
+    top = int(np.argmax(np.abs(amps)))
+    ys = [top >> (n * (m - 1 - i)) & (size - 1) for i in range(m)]
+    index = [int(unmix[y]) ^ flip for y in ys]
+    index[1:] = [z ^ int(pi[y]) for z, y in zip(index[1:], ys)]
+    v = amps
+    for i in range(m - 1, -1, -1):
+        rows = table[index[i] ^ pi] if i else table[index[:1]]
+        pairs = v.view(np.float64).reshape(-1, len(rows), size, 2)
+        v = np.matmul(rows[:, None, :], pairs).view(np.complex128)
+    overlap = complex(v.item())
+    # Accept iff the guess holds all but PURITY_TOL of the probability,
+    # written so that a NaN overlap fails. The norm is 1 within NORM_TOL, so
+    # an accepted index holds more than half: the one the inverse's argmax
+    # would read, up to rounding at the threshold.
+    if not 1.0 - (overlap.real**2 + overlap.imag**2) <= PURITY_TOL:
+        return None
+    return "".join(index_to_bits(p, n) for p in index)
+
+
+def mode2_decrypt(k: CipherKey, t: Transmission, cfg: ModeConfig) -> list[PlainBlock]:
+    """Read the plaintext out of the entangled register.
+
+    Two or more blocks are read by guess and check (``_mode2_read``). The
+    guess comes from the largest amplitude: each block's ciphertext index
+    through A^-1 and the key's angles, chained through the pairing. The
+    check is one contraction of the register against the guess's rows of
+    the key's table, giving the guess's post-inverse probability. The
+    guess is accepted iff that probability is at least 1 - PURITY_TOL,
+    phrased so that NaN fails; it then holds more than half, so it is the
+    index the inverse's argmax would read.
+
+    Otherwise, and for a single block, the block cipher's inverse
+    ``cipher._inverse`` runs over the m blocks from the last to the first:
+    undoing block i's key leaves it in the basis state p_i XOR pi(y_{i-1}),
+    and one gather along its axis at p XOR pi(y_{i-1}) then undoes the
+    pairing CNOTs and disentangles it. The whole register must then be a
+    single basis state, read with an argmax plus purity check: the
+    plaintext, or IntegrityError. A single block stays on the inverse, as
+    ``decrypt_block`` and mode 1 do: there the check costs a scatter of 2^n
+    amplitudes, which at n = 18 measured slower than the grouped inverse.
     """
     if t.mode is not Mode.ENTANGLING:
         raise InputError("mode2_decrypt requires an entangling-mode transmission")
@@ -222,9 +283,12 @@ def mode2_decrypt(k: CipherKey, t: Transmission, cfg: ModeConfig) -> list[PlainB
         raise InputError("config, key, and transmission block sizes must agree")
     if t.m == 0:
         return []
-    n, m = k.n, t.m
-    probs = _inverse_probs(compile_circuit(key_circuit(k), n), t.joint.amps, m, cfg.mode2_pairing)  # type: ignore[arg-type, union-attr]
-    bits = _read_basis_probs(probs, m * n, "joint register")
+    n, m, pairing = k.n, t.m, cfg.mode2_pairing
+    cc = compile_circuit(key_circuit(k), n)
+    amps = t.joint.amps  # type: ignore[union-attr]
+    bits = _mode2_read(cc, amps, m, pairing) if m > 1 else None  # type: ignore[arg-type]
+    if bits is None:
+        bits = _read_basis_probs(_inverse_probs(cc, amps, m, pairing), m * n, "joint register")  # type: ignore[arg-type]
     chunks = [bits[i * n : (i + 1) * n] for i in range(m)]
     chunks[0] = xor_bits(chunks[0], cfg.iv)
     return [PlainBlock(c) for c in chunks]

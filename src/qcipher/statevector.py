@@ -44,9 +44,10 @@ class StateVector:
         amps = np.array(self.amps, dtype=np.complex128, copy=True).reshape(-1)
         if amps.shape != (1 << self.n,):
             raise InputError(f"expected {1 << self.n} amplitudes, got {amps.shape[0]}")
-        norm = float(np.sum(np.abs(amps) ** 2))
-        # A NaN or infinite amplitude makes the norm NaN or inf, which fails
-        # this test (written so that NaN compares as a failure).
+        # One pass and no temporaries. A NaN or infinite amplitude makes the
+        # norm NaN or inf, which fails this test (written so that NaN
+        # compares as a failure).
+        norm = float(np.vdot(amps, amps).real)
         if not abs(norm - 1.0) <= NORM_TOL:
             raise InputError(f"squared norm {norm!r} deviates from 1 beyond {NORM_TOL}")
         amps.flags.writeable = False
@@ -346,7 +347,7 @@ def _state_from_fields(n: object, amps_field: object) -> StateVector:
     if not isinstance(amps_field, _Amps) or amps_field.pairs() != 1 << n:
         raise InputError(f'statevector field "amps" must be an array of {1 << n} [re, im] number pairs')
     amps = amps_field.values()
-    norm = float(np.sum(np.abs(amps) ** 2))
+    norm = float(np.vdot(amps, amps).real)
     if not abs(norm - 1.0) <= NORM_TOL:
         # Well-formed but non-normalized or non-finite payloads are treated
         # as corruption.

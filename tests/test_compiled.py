@@ -181,7 +181,7 @@ def _mode2_outcome(decrypt):
 @given(
     n=st.integers(2, 8),
     m=st.integers(1, 3),
-    N=st.sampled_from([4, 16, 256]),
+    N=st.sampled_from([4, 8, 16, 256]),
     seed=st.integers(0, 2**32 - 1),
 )
 # Two blocks of 9 qubits: the inverse splits each block into two groups and
@@ -227,6 +227,17 @@ def test_compiled_mode2_matches_gate_by_gate(n, m, N, seed):
         back = modes.mode2_decrypt(key, modes.Transmission(modes.Mode.ENTANGLING, n, m, joint=state), c)
         return [p.bits for p in back]
 
+    def guess_read(key, state, pair):
+        """The guess-and-check read of m >= 2 blocks on its own: when it
+        accepts, the inverse's read gives the same bits; None otherwise."""
+        if m == 1:
+            return None
+        cck = compile_circuit(key_circuit(key), n)
+        bits = modes._mode2_read(cck, state.amps, m, pair)
+        if bits is not None:
+            assert bits == _read(_inverse_probs(cck, state.amps, m, pair), n * m)
+        return bits
+
     assert new_read(k, t.joint, pairing) == oracle_read(k, ref, pairing) == blocks
 
     amps = t.joint.amps
@@ -244,14 +255,16 @@ def test_compiled_mode2_matches_gate_by_gate(n, m, N, seed):
     # (N >= 16) every rotation makes a superposition, so a sign flip, a key
     # one grid step off or (with a second block to chain) a wrong pairing
     # leaves no basis state; an imaginary part on the smallest amplitude
-    # never can. A global phase makes the register complex but still
-    # decrypts.
+    # never can. A global phase, or a factor 1j that leaves every real part
+    # zero, makes the register complex but still decrypts.
     variants = [
+        (k, t.joint, pairing, False),
         (k, StateVector(n * m, flipped), pairing, N >= 16),
         (k, StateVector(n * m, perturbed), pairing, True),
         (wrong_key, t.joint, pairing, N >= 16),
         (k, t.joint, wrong_pairing, N >= 16 and m >= 2),
         (k, StateVector(n * m, amps * np.exp(0.7j)), pairing, False),
+        (k, StateVector(n * m, amps * 1j), pairing, False),
     ]
     for key, state, pair, must_fail in variants:
         want = _mode2_outcome(lambda: oracle_read(key, state, pair))
@@ -259,6 +272,12 @@ def test_compiled_mode2_matches_gate_by_gate(n, m, N, seed):
         assert got == want
         if must_fail:
             assert got is IntegrityError
+            assert guess_read(key, state, pair) is None
+        elif m >= 2 and N != 8 and got is not IntegrityError:
+            # Off the N = 8 grid every row of T has one largest entry,
+            # so a register that decrypts has its largest amplitude on the
+            # guess's chain and the check accepts.
+            assert guess_read(key, state, pair) is not None
 
 
 def test_mode2_single_block_takes_the_block_path(monkeypatch):
@@ -276,3 +295,62 @@ def test_mode2_single_block_takes_the_block_path(monkeypatch):
     t = modes.mode2_encrypt(k, [block], cfg)
     assert t.joint.n == 16
     assert modes.mode2_decrypt(k, t, cfg) == [block]
+
+
+def _mode2_message(n, m, N, seed):
+    rng = np.random.default_rng(seed)
+    k = generate_key(n, N, rng)
+    pairing = tuple(int(q) + 1 for q in rng.permutation(n))
+    cfg = modes.ModeConfig(modes.Mode.ENTANGLING, "".join(str(b) for b in rng.integers(0, 2, size=n)), pairing)
+    blocks = [PlainBlock("".join(str(b) for b in rng.integers(0, 2, size=n))) for _ in range(m)]
+    return k, cfg, blocks, modes.mode2_encrypt(k, blocks, cfg)
+
+
+def test_mode2_ties_on_the_unguarded_eighth_turn_grid_fall_back():
+    # N = 8 keys keep angles at odd multiples of pi/4, where |cos| = |sin|:
+    # a row of T then has tied largest amplitudes, the guess can miss, and
+    # the inverse must decide. Either way the plaintext comes back.
+    fallbacks = 0
+    for seed in range(60):
+        k, cfg, blocks, t = _mode2_message(4, 3, 8, seed)
+        cc = compile_circuit(key_circuit(k), 4)
+        guess = modes._mode2_read(cc, t.joint.amps, 3, cfg.mode2_pairing)
+        want = _read(_inverse_probs(cc, t.joint.amps, 3, cfg.mode2_pairing), 12)
+        assert guess in (None, want)
+        fallbacks += guess is None
+        assert modes.mode2_decrypt(k, t, cfg) == blocks
+    assert 0 < fallbacks < 60
+
+
+def test_mode2_nan_amplitude_fails_the_guess_and_the_inverse():
+    # StateVector refuses a NaN norm, so the register is assembled by hand;
+    # the gate-by-gate oracle cannot take it, and the inverse's read is the
+    # reference.
+    k, cfg, blocks, t = _mode2_message(4, 2, 256, 21)
+    amps = t.joint.amps.copy()
+    amps[np.argmax(np.abs(amps))] = np.nan
+    state = object.__new__(StateVector)
+    object.__setattr__(state, "n", 8)
+    object.__setattr__(state, "amps", amps)
+    cc = compile_circuit(key_circuit(k), 4)
+    assert modes._mode2_read(cc, amps, 2, cfg.mode2_pairing) is None
+    assert _read(_inverse_probs(cc, amps, 2, cfg.mode2_pairing), 8) is IntegrityError
+    with pytest.raises(IntegrityError):
+        modes.mode2_decrypt(k, modes.Transmission(modes.Mode.ENTANGLING, 4, 2, joint=state), cfg)
+
+
+def test_mode2_honest_register_decrypts_without_the_inverse(monkeypatch):
+    # The guess-and-check is what runs on an honest guarded message: with
+    # the inverse made to fail, the plaintext still comes back, while a
+    # tampered register, which must fall back, reaches the failing inverse.
+    def refuse(*args):
+        raise AssertionError("the inverse ran")
+
+    k, cfg, blocks, t = _mode2_message(8, 2, 256, 13)
+    monkeypatch.setattr("qcipher.cipher._inverse", refuse)
+    assert modes.mode2_decrypt(k, t, cfg) == blocks
+    flipped = t.joint.amps.copy()
+    flipped[np.argmax(np.abs(flipped))] *= -1.0
+    tampered = modes.Transmission(modes.Mode.ENTANGLING, 8, 2, joint=StateVector(16, flipped))
+    with pytest.raises(AssertionError, match="the inverse ran"):
+        modes.mode2_decrypt(k, tampered, cfg)

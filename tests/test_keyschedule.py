@@ -1,13 +1,14 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import dense_apply, random_state
-from qcipher.errors import InputError, InvalidKeyError
+from qcipher.errors import CipherError, InputError, InvalidKeyError
 from qcipher.keyschedule import (
     CipherKey,
     Cnot,
@@ -313,3 +314,87 @@ def test_key_json_rejects_non_integer_entries(field, value):
     obj[field] = value
     with pytest.raises(InvalidKeyError):
         key_from_json(json.dumps(obj))
+
+
+# --- key_from_json fuzzer ----------------------------------------------------
+# A key file comes from outside the program: whatever its text, only a
+# CipherError may escape the reader, and a key it accepts writes back to a
+# file that reads as the same key.
+
+def _key_corpus():
+    rng = np.random.default_rng(2026)
+    keys = [generate_key(n, N, rng) for n, N in ((2, 4), (5, 16), (8, 256))]
+    k = keys[1]
+    keys.append(CipherKey(k.n, k.N, k.theta_indices, k.step3_pairs, k.step4_upstream_order, (3, 1, 5, 2, 4)))
+    return [key_to_json(k) for k in keys]
+
+
+KEY_CORPUS = _key_corpus()
+KEY_FIELDS = ["version", "n", "N", "theta", "step3_pairs", "step4_upstream_order", "mode2_pairing"]
+KEY_SPLICES = [
+    "0", "1", "-1", "2", "3", "24", "25", "255", "256", "1.0", "2.5", "1e3", "-0", "true", "false",
+    "null", "NaN", "Infinity", '"1"', "[]", "[1]", "[1, 2]", "[[1, 2]]", "[[2, 1], [1, 2]]", "{}",
+    '{"n": 2}', '"version"', "9" * 5000, "[" * 5000, "{", "]", ",", ":", '"', "\\ud800",
+]
+TOKEN = re.compile(r"-?[0-9]+|\[[^\[\]]*\]|\"[a-z0-9_]*\"")
+
+
+def _mutate_key(text, ops):
+    for op, where, what in ops:
+        splice = KEY_SPLICES[what % len(KEY_SPLICES)]
+        if op == "replace":
+            spans = [m.span() for m in TOKEN.finditer(text)] or [(0, 0)]
+            a, b = spans[where % len(spans)]
+            text = text[:a] + splice + text[b:]
+        elif op == "insert":
+            at = where % (len(text) + 1)
+            text = text[:at] + splice + text[at:]
+        elif op == "delete":
+            at = where % (len(text) + 1)
+            text = text[:at] + text[at + 1 + what % 8 :]
+        else:  # truncate
+            text = text[: where % (len(text) + 1)]
+    return text
+
+
+KEY_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["replace", "insert", "delete", "truncate"]),
+        st.integers(0, 10**6),
+        st.integers(0, 10**6),
+    ),
+    min_size=1,
+    max_size=3,
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(st.sampled_from(KEY_FIELDS) | st.text(max_size=5), inner, max_size=8),
+    max_leaves=8,
+)
+
+
+def _check_key_text(text):
+    """Any exception but a CipherError escapes and fails the test; a key
+    that reads writes back to a file that reads as the same key."""
+    try:
+        k = key_from_json(text)
+    except CipherError:
+        return
+    assert key_from_json(key_to_json(k)) == k
+
+
+@given(base=st.integers(0, len(KEY_CORPUS) - 1), ops=KEY_OPS)
+@example(base=0, ops=[("insert", 0, KEY_SPLICES.index("[" * 5000))])
+@example(base=2, ops=[("replace", 3, KEY_SPLICES.index("9" * 5000))])
+@settings(max_examples=400, deadline=None)
+def test_key_reader_lets_only_cipher_errors_escape_mutated_files(base, ops):
+    _check_key_text(_mutate_key(KEY_CORPUS[base], ops))
+
+
+@given(
+    obj=JSON_VALUES
+    | st.fixed_dictionaries({f: JSON_VALUES for f in KEY_FIELDS[:6]}, optional={KEY_FIELDS[6]: JSON_VALUES})
+)
+@settings(max_examples=150, deadline=None)
+def test_key_reader_lets_only_cipher_errors_escape_random_json(obj):
+    _check_key_text(json.dumps(obj))
