@@ -206,7 +206,15 @@ def brute_force_key_recovery(
     n: int, N: int, known: tuple[PlainBlock, CipherBlock]
 ) -> list[CipherKey]:
     """Enumerate the whole keyspace and keep keys consistent with one
-    known plaintext/ciphertext pair (fidelity within 1e-9 of 1)."""
+    known plaintext/ciphertext pair (fidelity within 1e-9 of 1).
+
+    Keys are tried one at a time, so the scan's time grows with the
+    keyspace, as ``test_brute_force_scan_time_tracks_keyspace_size`` in
+    tests/test_adversary.py requires within a factor of 2. A scan batched
+    over the angles fails that test: it took 0.25 ms for 4 keys and 0.48 ms
+    for 16, a ratio of 1.9 where at least 2 is required, because its fixed
+    cost outweighs small keyspaces.
+    """
     size, _ = keyspace_size(n, N)
     if size > BRUTE_FORCE_CAP:
         raise ResourceError(f"keyspace of {size} keys exceeds the {BRUTE_FORCE_CAP} enumeration cap")

@@ -89,9 +89,11 @@ _GROUP = 8
 
 def _basis_indices(cols: tuple[int, ...]) -> np.ndarray:
     """``idx[x] = A x`` for every basis index x."""
-    idx = np.zeros(1, dtype=np.intp)
-    for col in cols:
-        idx = np.stack((idx, idx ^ col), axis=1).ravel()
+    idx = np.empty(1 << len(cols), dtype=np.intp)
+    idx[0] = 0
+    # Column j sets bit n-1-j of x, so the last column doubles first.
+    for h, col in enumerate(reversed(cols)):
+        np.bitwise_xor(idx[: 1 << h], col, out=idx[1 << h : 2 << h])
     return idx
 
 
@@ -111,8 +113,13 @@ def _kron(thetas: tuple[float, ...], bits: str | None = None) -> np.ndarray:
     for q, theta in enumerate(thetas):
         # U(theta)|0> = (cos, sin) and U(theta)|1> = (sin, -cos).
         c, s = math.cos(theta), math.sin(theta)
-        u = np.array([[c, s], [s, -c]] if bits is None else [[c, s] if bits[q] == "0" else [s, -c]])
-        out = np.multiply.outer(u, out).transpose(2, 0, 3, 1).reshape(len(out) * len(u), -1)
+        u = [[c, s], [s, -c]] if bits is None else [[c, s] if bits[q] == "0" else [s, -c]]
+        # Entry (r, k) times u[i][j] lands at row len(u) r + i, column 2k + j.
+        new = np.empty((len(out), len(u), out.shape[1], 2))
+        for i, row in enumerate(u):
+            for j, v in enumerate(row):
+                np.multiply(out, v, out=new[:, i, :, j])
+        out = new.reshape(len(out) * len(u), -1)
     return out if bits is None else out[0]
 
 
@@ -121,7 +128,8 @@ def _encrypt_amps(cc: CompiledCircuit, bits: str) -> np.ndarray:
     product state through A. They are real, so the array is float64 (a
     scatter into complex128 costs three times as much), and they equal the
     gate-by-gate simulator's value for value."""
-    out = np.zeros(1 << cc.n)
+    # A is a bijection, so the scatter writes every entry.
+    out = np.empty(1 << cc.n)
     out[_basis_indices(cc.cols)] = _kron(cc.thetas, bits)
     return out
 

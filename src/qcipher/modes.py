@@ -212,6 +212,25 @@ def mode2_encrypt(k: CipherKey, blocks: list[PlainBlock], cfg: ModeConfig) -> Tr
     return Transmission(Mode.ENTANGLING, k.n, m, joint=StateVector(m * k.n, amps))
 
 
+# Amplitudes per slice of ``_argmax_abs``: 1 MiB of complex128.
+_ARGMAX_SLICE = 1 << 16
+
+
+def _argmax_abs(amps: np.ndarray) -> int:
+    """``np.argmax(np.abs(amps))`` over slices of _ARGMAX_SLICE amplitudes,
+    so no register-sized temporary of magnitudes is made (128 MiB at the
+    cap). Ties keep the first maximum, and the first NaN wins, as in numpy."""
+    top, best = 0, -1.0
+    for a in range(0, amps.size, _ARGMAX_SLICE):
+        mags = np.abs(amps[a : a + _ARGMAX_SLICE])
+        i = int(np.argmax(mags))
+        if np.isnan(mags[i]):
+            return a + i
+        if mags[i] > best:
+            top, best = a + i, mags[i]
+    return top
+
+
 def _mode2_read(cc: CompiledCircuit, amps: np.ndarray, m: int, pairing: tuple[int, ...]) -> str | None:
     """The post-inverse basis index of a register of m >= 2 blocks, as bits,
     found without running the inverse; None when the guess fails its check.
@@ -236,7 +255,7 @@ def _mode2_read(cc: CompiledCircuit, amps: np.ndarray, m: int, pairing: tuple[in
     pi = _pairing_map(n, pairing)
     unmix = np.argsort(_basis_indices(cc.cols))
     flip = int("".join("1" if abs(math.sin(t)) > abs(math.cos(t)) else "0" for t in cc.thetas), 2)
-    top = int(np.argmax(np.abs(amps)))
+    top = _argmax_abs(amps)
     ys = [top >> (n * (m - 1 - i)) & (size - 1) for i in range(m)]
     index = [int(unmix[y]) ^ flip for y in ys]
     index[1:] = [z ^ int(pi[y]) for z, y in zip(index[1:], ys)]

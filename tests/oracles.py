@@ -9,6 +9,7 @@ did before its "amps" arrays were read in slices.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -63,6 +64,27 @@ def cnot_matrix(ops, n: int) -> np.ndarray:
     for j in range(n):
         unit = "".join("1" if i == j else "0" for i in range(n))
         out[:, j] = [b == "1" for b in classical_cnot_bits(ops, unit)]
+    return out
+
+
+def basis_index_oracle(cols, x: int) -> int:
+    """A x in plain integers: the XOR of cols[j] over the set bits of x,
+    where bit n-1-j of x is input qubit j+1 (qubit 1 most significant)."""
+    n, out = len(cols), 0
+    for j, col in enumerate(cols):
+        if x >> (n - 1 - j) & 1:
+            out ^= col
+    return out
+
+
+def kron_oracle(thetas, bits=None) -> np.ndarray:
+    """An np.kron chain of the rotations [[c, s], [s, -c]] in qubit order,
+    or, given ``bits``, of their rows bits[q]."""
+    out = np.ones((1, 1)) if bits is None else np.ones(1)
+    for q, theta in enumerate(thetas):
+        c, s = math.cos(theta), math.sin(theta)
+        u = np.array([[c, s], [s, -c]])
+        out = np.kron(out, u if bits is None else u[int(bits[q])])
     return out
 
 

@@ -1,19 +1,23 @@
 """The compiled path (rotation angles plus the GF(2) columns of A) against
 the gate-by-gate simulator it replaces in the block cipher and in mode 2."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import cnot_matrix, mode2_gate_by_gate, mode2_gate_by_gate_inverse
+from oracles import basis_index_oracle, cnot_matrix, kron_oracle, mode2_gate_by_gate, mode2_gate_by_gate_inverse
 from qcipher import modes
 from qcipher.cipher import (
     PlainBlock,
+    _basis_indices,
     _encrypt_amps,
     _encrypt_table,
     _inverse,
     _inverse_probs,
+    _kron,
     _read_basis_probs,
     apply_circuit,
     decrypt_block,
@@ -66,6 +70,35 @@ def _inverse_read(ops, amps, n):
     read = _read(_inverse_probs(cc, amps), n)
     assert read == _read(np.abs(ref) ** 2, n)
     return read
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_basis_indices_and_kron_match_oracles(n):
+    rng = np.random.default_rng(900 + n)
+    # Any columns, singular ones included: the doubling must not rely on A
+    # being a bijection.
+    cols = tuple(int(c) for c in rng.integers(0, 1 << n, n))
+    idx = _basis_indices(cols)
+    assert idx.shape == (1 << n,)
+    # Every x up to n = 14; beyond, the corners, the unit vectors and a sample.
+    xs = range(1 << n) if n <= 14 else sorted(
+        {0, (1 << n) - 1, *(1 << j for j in range(n)), *(int(x) for x in rng.integers(0, 1 << n, 4096))}
+    )
+    assert np.array_equal(idx[list(xs)], [basis_index_oracle(cols, x) for x in xs])
+    thetas = tuple(float(t) for t in rng.uniform(0, 2 * np.pi, n))
+    bits = "".join(rng.choice(["0", "1"], n))
+    assert np.array_equal(_kron(thetas, bits), kron_oracle(thetas, bits))
+    if n <= 10:
+        assert np.array_equal(_kron(thetas), kron_oracle(thetas))
+
+
+@pytest.mark.parametrize("n", range(2, 21))
+def test_basis_indices_of_a_key_is_a_permutation(n):
+    # What lets _encrypt_amps start from np.empty: the scatter through A
+    # writes every entry exactly once.
+    k = generate_key(n, 256, np.random.default_rng(950 + n))
+    idx = _basis_indices(compile_circuit(key_circuit(k), n).cols)
+    assert np.array_equal(np.sort(idx), np.arange(1 << n))
 
 
 @given(
@@ -354,3 +387,32 @@ def test_mode2_honest_register_decrypts_without_the_inverse(monkeypatch):
     tampered = modes.Transmission(modes.Mode.ENTANGLING, 8, 2, joint=StateVector(16, flipped))
     with pytest.raises(AssertionError, match="the inverse ran"):
         modes.mode2_decrypt(k, tampered, cfg)
+
+
+# Magnitude ties (0.5, -0.5, 0.5j), NaN in either part, and inf.
+_AMPS = [0.0, 0.5, -0.5, 0.5j, 1.0, -1j, np.nan, complex(0.0, np.nan), np.inf]
+
+
+@given(st.lists(st.sampled_from(_AMPS), min_size=1, max_size=40), st.integers(1, 8))
+def test_sliced_argmax_matches_numpy(values, step):
+    amps = np.array(values, dtype=complex)
+    with mock.patch.object(modes, "_ARGMAX_SLICE", step):
+        assert modes._argmax_abs(amps) == int(np.argmax(np.abs(amps)))
+
+
+def test_sliced_argmax_at_the_default_slice():
+    w = modes._ARGMAX_SLICE
+    amps = np.zeros(3 * w, dtype=complex)
+    marks = [
+        ([5, w + 7, 2 * w], [0.5, -0.5, 0.5j], 5),  # a tie across slices: the first
+        ([w + 9], [0.75], w + 9),  # a larger value in a later slice
+        ([2 * w + 3], [np.nan], 2 * w + 3),  # a NaN in the last slice beats any number
+        ([w + 1], [complex(0.0, np.nan)], w + 1),  # an earlier NaN wins
+        ([4], [np.nan], 4),  # a NaN in the first slice
+    ]
+    for where, values, want in marks:
+        amps[where] = values
+        assert modes._argmax_abs(amps) == want == int(np.argmax(np.abs(amps)))
+    # Registers smaller than one slice.
+    for small, want in ((np.array([1.0 + 0j]), 0), (np.array([0.6, 0.8j, -0.8]), 1)):
+        assert modes._argmax_abs(small) == want == int(np.argmax(np.abs(small)))
