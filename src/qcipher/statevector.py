@@ -191,7 +191,6 @@ def fidelity(a: StateVector, b: StateVector) -> float:
 # written by _amps_body and read by _load_json; no other code knows its text.
 
 _SLICE = 1 << 16  # pairs formatted by one template
-_WINDOW = 1 << 12  # characters of an "amps" array matched at a time
 _CHUNK = 1 << 20  # characters of an "amps" array converted at a time
 
 
@@ -241,15 +240,20 @@ class _Amps:
 
 
 # JSON's grammar for a number, plus the three words Python's json module
-# also reads as numbers.
-_NUMBER = r"(?:-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?|NaN|-?Infinity)"
-_WS = r"[ \t\n\r]*"
+# also reads as numbers. Every quantifier is possessive: what follows a
+# number, a digit run or a whitespace run can never start with what it
+# consumed, so giving some back could not turn a failure into a match, and
+# the engine keeps no backtracking state per pair.
+_NUMBER = r"(?:-?+(?:0|[1-9][0-9]*+)(?:\.[0-9]++)?+(?:[eE][+-]?+[0-9]++)?+|NaN|-?+Infinity)"
+_WS = r"[ \t\n\r]*+"
 _PAIR = rf"\[{_WS}{_NUMBER}{_WS},{_WS}{_NUMBER}{_WS}\]"
-# One or more pairs. It is matched a window of text at a time, because
-# CPython's engine slows down as a repetition grows: on a 2-core x86_64 box
-# the "amps" arrays of a 20 MB file took 1.8 s in one match each and about
-# 0.45 s in windows of 4 KiB.
-_PAIRS = re.compile(rf"{_WS}{_PAIR}(?:{_WS},{_WS}{_PAIR})*{_WS}")
+# One or more pairs, matched over a whole "amps" array at once. With a
+# backtracking repetition CPython's engine slows down as the repetition
+# grows; the possessive one runs in linear time and constant memory. On a
+# 2-core x86_64 box, 1 MiB of a cipher block's array took about 70 ms
+# backtracking and 8-12 ms possessive, and the possessive match stayed at
+# 10-12 ms per MiB up to 29 MiB.
+_PAIRS = re.compile(rf"{_WS}{_PAIR}(?:{_WS},{_WS}{_PAIR})*+{_WS}")
 _SPACE = re.compile(_WS)
 _AMPS_KEY = re.compile(rf'"amps"{_WS}:{_WS}\[')
 _NO_BRACKETS = str.maketrans("[]", "  ")
@@ -263,27 +267,26 @@ def _scan_amps(text: str, start: int, what: str) -> tuple[_Amps, int]:
     pos = _SPACE.match(text, start + 1).end()
     if text.startswith("]", pos):
         return _Amps(text, ()), pos + 1
+    found = _PAIRS.match(text, pos)
+    if found is None:
+        return _other_array(text, pos, what)
+    end = found.end()  # _PAIRS ends with the whitespace after the last pair
+    if text.startswith(",", end):
+        return _other_array(text, end + 1, what)
+    if not text.startswith("]", end):
+        raise InputError(f"invalid {what} JSON: expected ',' or ']' at character {end}")
+    # Conversion chunks of at least _CHUNK characters, each ending at the
+    # comma after a pair's "]" (inside the match every "]" closes a pair).
     chunks: list[tuple[int, int, int, bool]] = []
-    begin, window = start + 1, _WINDOW
-    while True:
-        found = _PAIRS.match(text, pos, pos + window)
-        if found is None:
-            if pos + window < len(text):
-                window *= 2  # one pair may be longer than a window
-                continue
-            return _other_array(text, pos, what)
-        end = found.end()
-        after = _SPACE.match(text, end).end()
-        mark = text[after : after + 1]
-        if mark not in (",", "]"):
-            raise InputError(f"invalid {what} JSON: expected ',' or ']' at character {after}")
-        if mark == "]" or end - begin >= _CHUNK:
-            pairs = text.count("[", begin, end)
-            chunks.append((begin, end, pairs, text.count(", 0]", begin, end) == pairs))
-            begin = after + 1
-        if mark == "]":
-            return _Amps(text, tuple(chunks)), after + 1
-        pos, window = after + 1, _WINDOW
+    a = start + 1
+    while a < end:
+        close = text.find("]", a + _CHUNK - 1, end)
+        comma = text.find(",", close, end) if close >= 0 else -1
+        b = comma if comma >= 0 else end
+        pairs = text.count("[", a, b)
+        chunks.append((a, b, pairs, text.count(", 0]", a, b) == pairs))
+        a = b + 1
+    return _Amps(text, tuple(chunks)), end + 1
 
 
 def _other_array(text: str, pos: int, what: str) -> tuple[_Amps, int]:

@@ -5,11 +5,14 @@ index arithmetic) and never calls the package's gate kernels, except the
 mode-2 reference, which replays the package's gate-by-gate simulator on
 the joint register as the library did before mode 2 ran on the compiled
 key. The JSON readers at the end parse with json.loads, as the library
-did before its "amps" arrays were read in slices.
+did before its "amps" arrays were read in slices, and
+``PAIRS_BACKTRACKING`` is the reader's number-pair grammar with the
+backtracking quantifiers it had before they were made possessive.
 """
 
 import json
 import math
+import re
 
 import numpy as np
 
@@ -145,6 +148,15 @@ def mode2_gate_by_gate_inverse(k: CipherKey, joint: StateVector, pairing) -> np.
         joint = apply_circuit(joint, inv, offset=(i - 1) * n)
         joint = apply_circuit(joint, _chain_cnots(n, i, pairing))
     return apply_circuit(joint, inv).amps
+
+
+# The reader's grammar for one or more [re, im] number pairs as it was
+# before its quantifiers were possessive: plain greedy repetitions, which
+# the engine may backtrack into.
+_NUMBER = r"(?:-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?|NaN|-?Infinity)"
+_WS = r"[ \t\n\r]*"
+_PAIR = rf"\[{_WS}{_NUMBER}{_WS},{_WS}{_NUMBER}{_WS}\]"
+PAIRS_BACKTRACKING = re.compile(rf"{_WS}{_PAIR}(?:{_WS},{_WS}{_PAIR})*{_WS}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,19 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qcipher.cli import main
+from oracles import transmission_from_json_oracle
+from qcipher.cipher import CipherBlock
+from qcipher.cli import _bits_to_bytes, _mode_config, main
+from qcipher.errors import CipherError, IntegrityError, ResourceError
 from qcipher.keyschedule import key_from_json
-from qcipher.modes import transmission_from_json
+from qcipher.modes import Mode, Transmission, decrypt, transmission_from_json
+from qcipher.statevector import StateVector
+from test_wire import OPS, _mutate
 
 
 @pytest.fixture
@@ -335,3 +344,69 @@ def test_non_utf8_input_file_exits_1(keyfile, tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "not UTF-8" in err
     assert not out.exists()
+
+
+# --- decrypt on mutated files --------------------------------------------------
+
+# The stderr prefix of each nonzero exit code (see the README).
+PREFIXES = {1: "error:", 2: "integrity error:", 3: "resource error:"}
+
+
+@pytest.fixture(scope="module")
+def wire_files(tmp_path_factory):
+    """A 4-qubit key and its m1 and m2 files of two blocks (one byte)."""
+    root = tmp_path_factory.mktemp("wire")
+    key, data = root / "key.json", root / "msg.bin"
+    assert main(["keygen", "--n", "4", "--N", "16", "--seed", "11", "--out", str(key)]) == 0
+    data.write_bytes(b"\xc5")
+    texts = []
+    for mode in ("m1", "m2"):
+        out = root / f"{mode}.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["encrypt", "--key", str(key), "--mode", mode, "--in", str(data),
+                         "--out", str(out), "--seed", "5"]) == 0
+        texts.append(out.read_text())
+    return root, texts
+
+
+def _oracle_decrypt(key, text):
+    """Exit code 0 and the plaintext bytes, or the exit code of the
+    CipherError, with the file read by the json.loads oracle."""
+    try:
+        amps = transmission_from_json_oracle(text)
+        obj = json.loads(text)
+        mode, n, m = Mode(obj["mode"]), obj["n"], obj["m"]
+        if mode is Mode.MEASURED:
+            blocks = tuple(CipherBlock(StateVector(n, a), i, "m1") for i, a in enumerate(amps[0::2]))
+            t = Transmission(mode, n, m, blocks, tuple(StateVector(n, a) for a in amps[1::2]))
+        else:
+            t = Transmission(mode, n, m, joint=StateVector(m * n, amps[0]) if m else None)
+        plain = decrypt(key, t, _mode_config(key, mode, None))
+        return 0, _bits_to_bytes("".join(p.bits for p in plain))
+    except IntegrityError:
+        return 2, None
+    except ResourceError:
+        return 3, None
+    except CipherError:
+        return 1, None
+
+
+@given(base=st.integers(0, 1), ops=OPS)
+@settings(max_examples=150, deadline=None)
+def test_decrypt_of_a_mutated_file_exits_as_the_oracle_reads_it(wire_files, base, ops):
+    root, texts = wire_files
+    text = _mutate(texts[base], ops)
+    src, out = root / "t.json", root / "out.bin"
+    src.write_text(text)
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["decrypt", "--key", str(root / "key.json"), "--in", str(src), "--out", str(out)])
+    err = err.getvalue()
+    want_code, want_bytes = _oracle_decrypt(key_from_json((root / "key.json").read_text()), text)
+    assert code == want_code, (text, err)
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == "" and out.read_bytes() == want_bytes
+    else:
+        assert err.startswith(PREFIXES[code]) and not out.exists(), err

@@ -101,6 +101,19 @@ def test_basis_indices_of_a_key_is_a_permutation(n):
     assert np.array_equal(np.sort(idx), np.arange(1 << n))
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_encrypt_table_rows_are_encrypt_amps(n):
+    # Every row up to n = 8, where mode 2 folds the table into the inverse;
+    # the corners and 64 sampled rows beyond.
+    rng = np.random.default_rng(970 + n)
+    cc = compile_circuit(key_circuit(generate_key(n, 256, rng)), n)
+    table = _encrypt_table(cc)
+    rows = range(1 << n) if n <= 8 else [0, (1 << n) - 1, *rng.integers(0, 1 << n, size=64)]
+    for z in rows:
+        want = _encrypt_amps(cc, format(int(z), f"0{n}b"))
+        assert np.array_equal(table[z].view(np.uint64), want.view(np.uint64)), z
+
+
 @given(
     n=st.integers(2, 12),
     N=st.sampled_from([4, 8, 16, 256]),

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    PAIRS_BACKTRACKING,
     cipherblock_from_json_oracle,
     random_state,
     state_from_json_oracle,
@@ -114,6 +115,9 @@ SPLICES = [
     "1_0", "+1", ".5", "1.", "nan", "inf", "NaN", "-Infinity", "Infinity", "٣", "[1, 2, 3]",
     "[[1, 2]]", "1 2", "01", "-01", "-0", "1e5", "1E+2", "1e-05", "-", "true", "null", '"0.5"', "{}",
     "0x1", "1e", "--1", "1.5.5", "1e5e5", "1e5.5", "1.e5", "[]", "]", "[", ",", "1e400", "-0.0", "0.5",
+    # Near misses, where a quantifier that gives nothing back could decide
+    # differently from one that backtracks.
+    "0e", "1e+", "-.5", "00", "0e05", "-0e-0", "-NaN", "NaNN", "Infinityy", "--Infinity",
 ]
 SPACES = [" ", "\n", "\t", "\r\n  ", ""]
 NUMBER = re.compile(r"-?[0-9][0-9.eE+-]*")
@@ -153,28 +157,52 @@ OPS = st.lists(
 )
 
 
-# The reader's window (characters matched at a time) and chunk (characters
-# converted at a time): the defaults, and sizes that cut every pair.
-SIZES = [(statevector._WINDOW, statevector._CHUNK), (1, 1), (7, 13)]
-
-
-def _sizes(window, chunk):
-    return mock.patch.multiple(statevector, _WINDOW=window, _CHUNK=chunk)
+# The reader's chunk (characters converted at a time): the default, and
+# sizes that cut every pair.
+SIZES = [{"_CHUNK": statevector._CHUNK}, {"_CHUNK": 1}, {"_CHUNK": 13}]
 
 
 @given(base=st.integers(0, len(CORPUS) - 1), ops=OPS, sizes=st.sampled_from(SIZES))
 @settings(max_examples=400, deadline=None)
 def test_reader_agrees_with_the_json_oracle_on_mutated_files(base, ops, sizes):
     text = _mutate(CORPUS[base], ops)
-    with _sizes(*sizes):
+    with mock.patch.multiple(statevector, **sizes):
         for read, oracle in READERS.values():
             assert _outcome(read, text) == _outcome(oracle, text), text
+
+
+PAIR_VALUES = st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=4)
+
+
+@given(values=PAIR_VALUES, ops=OPS, start=st.integers(0, 8))
+@settings(max_examples=400, deadline=None)
+def test_possessive_grammar_agrees_with_the_backtracking_one(values, ops, start):
+    amps = np.array([complex(*v) for v in values])
+    text = _mutate(_amps_body(amps), ops)
+    assert (statevector._PAIRS.fullmatch(text) is None) == (PAIRS_BACKTRACKING.fullmatch(text) is None), text
+    pos = min(start, len(text))
+    got, want = statevector._PAIRS.match(text, pos), PAIRS_BACKTRACKING.match(text, pos)
+    assert (got and got.end()) == (want and want.end()), text
+
+
+def test_each_amps_array_is_matched_once():
+    calls, pattern = [], statevector._PAIRS
+
+    class Spy:
+        def match(self, text, pos):
+            calls.append(pos)
+            return pattern.match(text, pos)
+
+    _, text = _m1_file()
+    with mock.patch.multiple(statevector, _PAIRS=Spy(), _CHUNK=1):
+        transmission_from_json(text)
+    assert len(calls) == text.count('"amps"') == 4
 
 
 @pytest.mark.parametrize("text", CORPUS)
 @pytest.mark.parametrize("sizes", SIZES)
 def test_reader_reads_every_real_file_and_its_reindented_copy(text, sizes):
-    with _sizes(*sizes):
+    with mock.patch.multiple(statevector, **sizes):
         for copy in (text, json.dumps(json.loads(text), indent=2), json.dumps(json.loads(text), separators=(",", ":"))):
             outcomes = [_outcome(read, copy) for read, _ in READERS.values()]
             assert any(isinstance(o, list) for o in outcomes)
@@ -185,8 +213,8 @@ def test_reader_reads_every_real_file_and_its_reindented_copy(text, sizes):
 def test_large_state_round_trips_bit_exactly_across_chunks():
     s = random_state(12, np.random.default_rng(8))
     text = state_to_json(s)
-    for sizes in ((statevector._WINDOW, statevector._CHUNK), (1000, 4096)):
-        with _sizes(*sizes):
+    for sizes in [*SIZES, {"_CHUNK": 4096}]:
+        with mock.patch.multiple(statevector, **sizes):
             back = state_from_json(text).amps
         assert np.array_equal(back.view(np.uint64), s.amps.view(np.uint64))
 
