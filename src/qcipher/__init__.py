@@ -15,7 +15,6 @@ from .adversary import (
     config_count_bounds,
     detection_experiment,
     folded_angle,
-    intercept_measure,
     marginal_estimation_attack,
     sampled_decrypt_bits,
 )
@@ -35,11 +34,9 @@ from .cipher import (
     CipherBlock,
     GateCounts,
     PlainBlock,
-    apply_circuit,
     cipherblock_from_json,
     cipherblock_to_json,
     decrypt_block,
-    encode_plaintext,
     encrypt_block,
     gate_count,
     xor_bits,
@@ -60,7 +57,6 @@ from .keyschedule import (
     compile_circuit,
     enumerate_keys,
     generate_key,
-    inverse_circuit,
     key_circuit,
     key_from_json,
     key_to_json,
@@ -88,7 +84,6 @@ from .statevector import (
     apply_single,
     basis_state,
     fidelity,
-    marginal_p0,
     marginals,
     measure_all,
     state_from_json,

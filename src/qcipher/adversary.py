@@ -21,7 +21,8 @@ import numpy as np
 from .cipher import CipherBlock, PlainBlock, _encrypt_amps, _inverse_probs, encrypt_block
 from .errors import InputError, ResourceError
 from .keyschedule import CipherKey, CompiledCircuit, compile_circuit, enumerate_keys, key_circuit, keyspace_size
-from .statevector import StateVector, fidelity, index_to_bits, measure_all
+from .keyschedule import _MAX_COUNT_LOG2, _check_count
+from .statevector import StateVector, fidelity, index_to_bits
 
 BRUTE_FORCE_CAP = 10**6
 
@@ -68,12 +69,6 @@ def _ci_half_width(successes: int, trials: int) -> float:
 def collision_probability(s: StateVector) -> float:
     """sum(|c_b|^4): chance one intercepted copy goes unnoticed."""
     return float(np.sum(np.abs(s.amps) ** 4))
-
-
-def intercept_measure(c: StateVector, rng: np.random.Generator) -> tuple[StateVector, str]:
-    """Eve's move: measure, keep the bits, forward the collapsed state."""
-    outcome = measure_all(c, rng)
-    return outcome.collapsed, outcome.bits
 
 
 def _read_probs(cc: CompiledCircuit, amps: np.ndarray) -> np.ndarray:
@@ -262,9 +257,12 @@ class ConfigCountBounds:
 
 def config_count_bounds(n: int, L: int) -> ConfigCountBounds:
     """lower = n*(n-1)^L (chained non-commuting sequences), upper =
-    (n^2-n)^L (unrestricted control/target choices); exact integers."""
+    (n^2-n)^L (unrestricted control/target choices); exact integers, and
+    ResourceError when they are too long to print."""
     if n < 2:
         raise InputError("config_count_bounds requires n >= 2")
     if L < 1:
         raise InputError("config_count_bounds requires L >= 1")
+    # upper >= 2**L, so a larger L fails before it meets a float.
+    _check_count(L * math.log2(n * n - n) if L < _MAX_COUNT_LOG2 else math.inf, "upper bound")
     return ConfigCountBounds(n, L, n * (n - 1) ** L, (n * n - n) ** L)

@@ -9,18 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, IntegrityError
-from .keyschedule import CipherKey, CompiledCircuit, SingleU, compile_circuit, key_circuit
-from .statevector import (
-    StateVector,
-    _amps_body,
-    _check_bits,
-    _cnot_inplace,
-    _load_json,
-    _single_inplace,
-    _state_from_fields,
-    basis_state,
-    index_to_bits,
-)
+from .keyschedule import CipherKey, CompiledCircuit, compile_circuit, key_circuit
+from .statevector import StateVector, _amps_body, _check_bits, _load_json, _state_from_fields, index_to_bits
 
 PURITY_TOL = 1e-9
 
@@ -54,25 +44,6 @@ def xor_bits(a: str, b: str) -> str:
     if len(a) != len(b):
         raise InputError(f"bitstring lengths differ: {len(a)} vs {len(b)}")
     return index_to_bits(int(a, 2) ^ int(b, 2), len(a))
-
-
-def apply_circuit(s: StateVector, ops, offset: int = 0) -> StateVector:
-    """Apply a gate list in order; ``offset`` shifts all qubit indices.
-
-    Gate by gate: the general simulator, which the tests use as the
-    reference for the compiled path below."""
-    out = s.amps.copy()
-    for op in ops:
-        if isinstance(op, SingleU):
-            _single_inplace(out, s.n, op.qubit + offset, op.theta)
-        else:
-            _cnot_inplace(out, s.n, op.control + offset, op.target + offset)
-    return StateVector(s.n, out)
-
-
-def encode_plaintext(bits: str) -> StateVector:
-    """Map classical bits onto the matching basis state."""
-    return basis_state(len(bits), bits)
 
 
 # ---------------------------------------------------------------------------
@@ -153,28 +124,17 @@ def _inverse(cc: CompiledCircuit, part: np.ndarray, m: int = 1, pairing: tuple[i
 
     On each block's axis, one gather undoes A (the amplitude at x comes
     from A x), then the self-inverse rotation layer runs as one matrix
-    product per balanced group of at most _GROUP qubits. When one group
-    covers the block, the gather is folded into its rows, which gives the
-    table T of ``_encrypt_table``. For every block but the first, one more
-    gather along the axis, at p ^ pi(y_{i-1}), undoes the pairing CNOTs.
+    product per balanced group of at most _GROUP qubits. For every block
+    but the first, one more gather along the axis, at p ^ pi(y_{i-1}),
+    undoes the pairing CNOTs.
     """
     n, size = cc.n, 1 << cc.n
     groups = -(-n // _GROUP)
-    # The fold saves one pass over the register per block: the m2-cap
-    # benchmark (n = 8) takes about a fifth longer without it
-    # (BENCH_inverse.json, "fold_check").
-    if groups == 1:
-        idx, mats = None, [_encrypt_table(cc)]
-    else:
-        cuts = [n * g // groups for g in range(groups + 1)]
-        idx, mats = _basis_indices(cc.cols), [_kron(cc.thetas[a:b]) for a, b in zip(cuts, cuts[1:])]
-    # The real or imaginary view of a complex register is strided; BLAS
-    # needs unit stride.
-    part = np.ascontiguousarray(part)
+    cuts = [n * g // groups for g in range(groups + 1)]
+    idx, mats = _basis_indices(cc.cols), [_kron(cc.thetas[a:b]) for a, b in zip(cuts, cuts[1:])]
     for i in range(m, 0, -1):
         rest = size ** (m - i)
-        if idx is not None:
-            part = np.take(part.reshape(-1, size, rest), idx, axis=1)
+        part = np.take(part.reshape(-1, size, rest), idx, axis=1)
         inner = size * rest
         for mat in mats:
             inner //= len(mat)

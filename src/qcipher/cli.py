@@ -271,16 +271,14 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         _emit(bounds.to_json(), args.out)
         return 0
 
+    key = _attack_key(args)
+    plaintext = _plaintext(args, key)
     if args.kind == "intercept":
-        key = _attack_key(args)
-        plaintext = _plaintext(args, key)
         report = detection_experiment(key, plaintext, args.r, True, rng, trials=args.trials)
         _emit(report.to_json(), args.out)
         return 0
 
     if args.kind == "stats":
-        key = _attack_key(args)
-        plaintext = _plaintext(args, key)
         estimates = marginal_estimation_attack(
             key, plaintext, args.samples, rng, step1_only=not args.full_circuit
         )
@@ -301,8 +299,6 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
     # brute force: a --key file sets n and N; the enumerated keys carry no
     # mode-2 pairing, so the true key is looked up without one.
-    key = _attack_key(args)
-    plaintext = _plaintext(args, key)
     ciphertext = encrypt_block(key, plaintext)
     consistent = brute_force_key_recovery(key.n, key.N, (plaintext, ciphertext))
     size, _ = keyspace_size(key.n, key.N)

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
 
-from .errors import InputError, InvalidKeyError
+from .errors import InputError, InvalidKeyError, ResourceError
 from .statevector import MAX_QUBITS
 
 KEY_FORMAT_VERSION = 1
@@ -95,7 +95,8 @@ class CipherKey:
             raise InvalidKeyError(f"block size {self.n} exceeds the {MAX_QUBITS}-qubit cap")
         if not isinstance(self.N, int) or isinstance(self.N, bool) or self.N < 2:
             raise InvalidKeyError(f"grid size N must be an integer >= 2, got {self.N!r}")
-        if self.version != KEY_FORMAT_VERSION:
+        # Strict: True and 1.0 equal 1, but key_to_json would write them as is.
+        if type(self.version) is not int or self.version != KEY_FORMAT_VERSION:
             raise InvalidKeyError(f"unsupported key version {self.version!r}")
 
         theta = _as_int_tuple(self.theta_indices, "theta_indices")
@@ -169,6 +170,8 @@ def generate_key(n: int, N: int, rng: np.random.Generator) -> CipherKey:
         raise InputError(f"block size {n} exceeds the {MAX_QUBITS}-qubit cap")
     if not isinstance(N, int) or isinstance(N, bool) or N < 2:
         raise InputError(f"grid size N must be an integer >= 2, got {N!r}")
+    if N > 2**63:
+        raise InputError("grid size N must be at most 2**63, the range of numpy's integer draws")
 
     unguardable = _grid_fully_degenerate(N)
     theta = []
@@ -221,15 +224,6 @@ def key_circuit(k: CipherKey, through_step: int = 4) -> list[GateOp]:
     return ops
 
 
-def inverse_circuit(k: CipherKey) -> list[GateOp]:
-    """Decryption gate list: the key circuit reversed.
-
-    Every gate is its own inverse (U(theta)^2 = I and CNOT^2 = I), so
-    reversal alone suffices.
-    """
-    return list(reversed(key_circuit(k)))
-
-
 @dataclass(frozen=True)
 class CompiledCircuit:
     """A rotation layer followed by a CNOT network, as angles plus GF(2) columns.
@@ -275,6 +269,19 @@ def compile_circuit(ops: Iterable[GateOp], n: int) -> CompiledCircuit:
     return CompiledCircuit(n, tuple(thetas), cols)  # type: ignore[arg-type]
 
 
+# An exact count is built only if it can be printed: Python's default limit
+# on converting an int to a decimal string is 4,300 digits.
+_MAX_COUNT_DIGITS = 4300
+_MAX_COUNT_LOG2 = _MAX_COUNT_DIGITS * math.log2(10) - 1  # one bit for rounding
+
+
+def _check_count(log2: float, what: str) -> None:
+    """ResourceError for a count of about 2**log2 that would print with
+    more than _MAX_COUNT_DIGITS digits."""
+    if not log2 < _MAX_COUNT_LOG2:
+        raise ResourceError(f"{what} has over {_MAX_COUNT_DIGITS} digits, the cap on exact counts")
+
+
 class KeyspaceSize(NamedTuple):
     size: int
     log2: float
@@ -286,10 +293,14 @@ def keyspace_size(n: int, N: int) -> KeyspaceSize:
     The three factors count the theta grid, the step-3 pairings, and the
     step-4 upstream orders. For odd n both factorial factors are
     floor(n/2)!, matching the unpaired-middle-qubit convention used by
-    ``generate_key`` and ``enumerate_keys``.
+    ``generate_key`` and ``enumerate_keys``. A size too long to print is
+    ResourceError.
     """
     if n < 2 or N < 2:
         raise InputError("keyspace_size requires n >= 2 and N >= 2")
+    # The size is at least 2**n, so a larger n fails before it meets a float.
+    log2 = n * math.log2(N) + 2 * math.lgamma(n // 2 + 1) / math.log(2) if n < _MAX_COUNT_LOG2 else math.inf
+    _check_count(log2, "keyspace")
     half = math.factorial(n // 2)
     size = N**n * half * half
     return KeyspaceSize(size, math.log2(size))
@@ -330,13 +341,6 @@ def key_to_json(k: CipherKey) -> str:
     return json.dumps(obj)
 
 
-def _require_int(obj: dict, field: str) -> int:
-    v = obj[field]
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise InvalidKeyError(f'key field "{field}" must be an integer')
-    return v
-
-
 def key_from_json(text: str) -> CipherKey:
     try:
         obj = json.loads(text)
@@ -352,26 +356,14 @@ def key_from_json(text: str) -> CipherKey:
     missing = set(_REQUIRED_FIELDS) - set(obj)
     if missing:
         raise InvalidKeyError(f"missing key field(s): {sorted(missing)}")
-
-    version = _require_int(obj, "version")
-    n = _require_int(obj, "n")
-    N = _require_int(obj, "N")
-    theta = obj["theta"]
-    pairs = obj["step3_pairs"]
-    order = obj["step4_upstream_order"]
-    if not isinstance(theta, list) or not isinstance(pairs, list) or not isinstance(order, list):
-        raise InvalidKeyError("theta, step3_pairs, and step4_upstream_order must be lists")
-    if any(not isinstance(p, list) or len(p) != 2 for p in pairs):
-        raise InvalidKeyError("step3_pairs entries must be [downstream, upstream] pairs")
-    pairing = obj.get("mode2_pairing")
-    if pairing is not None and not isinstance(pairing, list):
-        raise InvalidKeyError("mode2_pairing must be a list")
+    # CipherKey checks every value, strictly: a string, object, float or
+    # boolean where it needs an integer or a list is InvalidKeyError.
     return CipherKey(
-        n,
-        N,
-        tuple(theta),
-        tuple(tuple(p) for p in pairs),
-        tuple(order),
-        None if pairing is None else tuple(pairing),
-        version,
+        obj["n"],
+        obj["N"],
+        obj["theta"],
+        obj["step3_pairs"],
+        obj["step4_upstream_order"],
+        obj.get("mode2_pairing"),
+        obj["version"],
     )

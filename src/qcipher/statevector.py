@@ -136,13 +136,6 @@ def apply_cnot(s: StateVector, control: int, target: int) -> StateVector:
     return StateVector(s.n, out)
 
 
-def marginal_p0(s: StateVector, q: int) -> float:
-    """Probability of measuring qubit ``q`` as 0."""
-    _check_qubit(s.n, q)
-    a = s.amps.reshape(1 << (q - 1), 2, -1)
-    return float(np.sum(np.abs(a[:, 0, :]) ** 2))
-
-
 def _marginals_of(amps: np.ndarray, n: int) -> np.ndarray:
     probs = np.abs(amps) ** 2
     out = np.empty(n)

@@ -1,11 +1,13 @@
 """Independent oracles used to cross-check the fast implementation.
 
-Everything here is built from first principles (dense matrices, explicit
-index arithmetic) and never calls the package's gate kernels, except the
-mode-2 reference, which replays the package's gate-by-gate simulator on
-the joint register as the library did before mode 2 ran on the compiled
-key. The JSON readers at the end parse with json.loads, as the library
-did before its "amps" arrays were read in slices, and
+Most of what is here is built from first principles (dense matrices,
+explicit index arithmetic). The gate-by-gate simulator, ``apply_circuit``
+on a gate list and ``inverse_circuit``, lives here too: it runs the
+package's two gate kernels (``statevector._single_inplace`` and
+``_cnot_inplace``) one gate at a time, as the library did before it ran
+every block on the compiled key, and the mode-2 references replay it on
+the joint register. The JSON readers at the end parse with json.loads, as
+the library did before its "amps" arrays were read in slices, and
 ``PAIRS_BACKTRACKING`` is the reader's number-pair grammar with the
 backtracking quantifiers it had before they were made possessive.
 """
@@ -16,10 +18,35 @@ import re
 
 import numpy as np
 
-from qcipher.cipher import apply_circuit
 from qcipher.errors import InputError, IntegrityError, ResourceError
-from qcipher.keyschedule import CipherKey, Cnot, SingleU, inverse_circuit, key_circuit
-from qcipher.statevector import MAX_QUBITS, NORM_TOL, StateVector, basis_state, tensor
+from qcipher.keyschedule import CipherKey, Cnot, SingleU, key_circuit
+from qcipher.statevector import (
+    MAX_QUBITS,
+    NORM_TOL,
+    StateVector,
+    _cnot_inplace,
+    _single_inplace,
+    basis_state,
+    tensor,
+)
+
+
+def apply_circuit(s: StateVector, ops, offset: int = 0) -> StateVector:
+    """Apply a gate list in order, gate by gate; ``offset`` shifts all
+    qubit indices."""
+    out = s.amps.copy()
+    for op in ops:
+        if isinstance(op, SingleU):
+            _single_inplace(out, s.n, op.qubit + offset, op.theta)
+        else:
+            _cnot_inplace(out, s.n, op.control + offset, op.target + offset)
+    return StateVector(s.n, out)
+
+
+def inverse_circuit(k: CipherKey) -> list:
+    """Decryption gate list: the key circuit reversed. Every gate is its
+    own inverse (U(theta)^2 = I and CNOT^2 = I), so reversal suffices."""
+    return list(reversed(key_circuit(k)))
 
 
 def u_matrix(theta: float) -> np.ndarray:

@@ -13,29 +13,28 @@ from qcipher.adversary import (
     config_count_bounds,
     detection_experiment,
     folded_angle,
-    intercept_measure,
     marginal_estimation_attack,
     sampled_decrypt_bits,
 )
 from qcipher.cipher import PlainBlock, encrypt_block
 from qcipher.errors import InputError, ResourceError
 from qcipher.keyschedule import CipherKey, generate_key, keyspace_size, theta_value
-from qcipher.statevector import basis_state
+from qcipher.statevector import basis_state, measure_all
 
 
 def test_intercept_on_basis_state_is_transparent():
     s = basis_state(4, "0110")
-    forwarded, bits = intercept_measure(s, np.random.default_rng(0))
-    assert bits == "0110"
-    assert np.array_equal(forwarded.amps, s.amps)
+    outcome = measure_all(s, np.random.default_rng(0))
+    assert outcome.bits == "0110"
+    assert np.array_equal(outcome.collapsed.amps, s.amps)
 
 
 def test_intercept_collapses_superpositions():
     k = generate_key(6, 256, np.random.default_rng(1))
     c = encrypt_block(k, PlainBlock("101010")).state
-    forwarded, bits = intercept_measure(c, np.random.default_rng(2))
-    assert np.count_nonzero(forwarded.amps) == 1
-    assert int(bits, 2) == int(np.argmax(np.abs(forwarded.amps)))
+    outcome = measure_all(c, np.random.default_rng(2))
+    assert np.count_nonzero(outcome.collapsed.amps) == 1
+    assert int(outcome.bits, 2) == int(np.argmax(np.abs(outcome.collapsed.amps)))
 
 
 def test_collision_probability_closed_form():
@@ -60,8 +59,7 @@ def test_eve_bits_follow_born_distribution():
     counts = np.zeros(16)
     samples = 10**5
     for _ in range(samples):
-        _, bits = intercept_measure(c, rng)
-        counts[int(bits, 2)] += 1
+        counts[int(measure_all(c, rng).bits, 2)] += 1
     expected = probs * samples
     keep = expected >= 5
     merged_counts = np.append(counts[keep], counts[~keep].sum())
@@ -93,7 +91,7 @@ def _per_copy_counts(k, p, r, eve_on, g, trials):
     for _ in range(trials):
         ok = 0
         for _ in range(r):
-            state = intercept_measure(c, g)[0] if eve_on else c
+            state = measure_all(c, g).collapsed if eve_on else c
             ok += sampled_decrypt_bits(k, state, g) == p.bits
         passes += ok
         detections += ok < r
@@ -268,6 +266,20 @@ def test_attack_report_serializes_big_integers_as_strings():
     assert obj["params"]["keyspace"] == str(2**80)
     assert obj["params"]["n"] == 8
     assert obj["counts"]["hits"] == 3
+
+
+@pytest.mark.parametrize(
+    "n, L, prints",
+    [(2, 14283, True), (2, 14284, False), (8, 3000, False),
+     (10**2000, 1, True), (10**3999, 1, False), (2, 10**3999, False)],
+)
+def test_config_count_bounds_are_built_only_when_they_print(n, L, prints):
+    # (n^2 - n)^L >= 2^L, so a 4,000-digit L fails before any float is formed.
+    if prints:
+        assert len(config_count_bounds(n, L).to_json()) > 4000
+    else:
+        with pytest.raises(ResourceError):
+            config_count_bounds(n, L)
 
 
 def test_config_count_bounds_json():

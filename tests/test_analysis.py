@@ -16,10 +16,11 @@ from qcipher.analysis import (
     symbolic_dependences,
     verify_dependence_rules,
 )
-from qcipher.cipher import PlainBlock, apply_circuit, encode_plaintext
+from oracles import apply_circuit
+from qcipher.cipher import PlainBlock
 from qcipher.errors import InputError
 from qcipher.keyschedule import Cnot, SingleU, compile_circuit, generate_key, key_circuit
-from qcipher.statevector import marginal_p0
+from qcipher.statevector import basis_state, marginals
 from test_keyschedule import canonical_key
 
 
@@ -66,8 +67,8 @@ def test_parity_matches_two_qubit_closed_form():
     # exactly b1^2: its own angle cancels out of its statistics.
     th1, th2 = 0.6, 1.1
     ops = layer([th1, th2]) + [Cnot(1, 2), Cnot(2, 1)]
-    state = apply_circuit(encode_plaintext("00"), ops)
-    assert marginal_p0(state, 1) == pytest.approx(math.cos(th2) ** 2, abs=1e-12)
+    state = apply_circuit(basis_state(2, "00"), ops)
+    assert marginals(state)[0] == pytest.approx(math.cos(th2) ** 2, abs=1e-12)
     parity = rows_as_sets(parity_dependences(ops, 2))
     assert parity[0] == {2}
     symbolic = rows_as_sets(symbolic_dependences(ops, 2))
@@ -187,22 +188,22 @@ def test_two_qubit_transfer_creates_dependence():
     # moves when theta_1 moves.
     th1, th2 = 0.5, 1.2
     base_ops = layer([th1, th2]) + [Cnot(1, 2)]
-    base = marginal_p0(apply_circuit(encode_plaintext("00"), base_ops), 2)
+    base = marginals(apply_circuit(basis_state(2, "00"), base_ops))[1]
     a1, a2 = math.cos(th1), math.sin(th1)
     b1, b2 = math.cos(th2), math.sin(th2)
     assert base == pytest.approx(a1**2 * b1**2 + a2**2 * b2**2, abs=1e-12)
     moved_ops = layer([th1 + 0.3, th2]) + [Cnot(1, 2)]
-    moved = marginal_p0(apply_circuit(encode_plaintext("00"), moved_ops), 2)
+    moved = marginals(apply_circuit(basis_state(2, "00"), moved_ops))[1]
     assert abs(moved - base) > 1e-3
 
 
 def test_control_retains_dependence_through_cnot():
     th1, th2 = 0.5, 1.2
     ops = layer([th1, th2]) + [Cnot(1, 2)]
-    base = marginal_p0(apply_circuit(encode_plaintext("00"), ops), 1)
+    base = marginals(apply_circuit(basis_state(2, "00"), ops))[0]
     assert base == pytest.approx(math.cos(th1) ** 2, abs=1e-12)
     moved_ops = layer([th1 + 0.3, th2]) + [Cnot(1, 2)]
-    moved = marginal_p0(apply_circuit(encode_plaintext("00"), moved_ops), 1)
+    moved = marginals(apply_circuit(basis_state(2, "00"), moved_ops))[0]
     assert abs(moved - base) > 1e-3
 
 

@@ -12,7 +12,6 @@ from qcipher.cipher import (
     cipherblock_from_json,
     cipherblock_to_json,
     decrypt_block,
-    encode_plaintext,
     encrypt_block,
     gate_count,
     xor_bits,
@@ -21,12 +20,6 @@ from qcipher.errors import InputError, IntegrityError
 from qcipher.keyschedule import CipherKey, generate_key, key_circuit
 from qcipher.statevector import StateVector, basis_state, fidelity, marginals, measure_all
 from test_keyschedule import canonical_key
-
-
-def test_encode_plaintext_examples():
-    assert np.allclose(encode_plaintext("00101").amps, basis_state(5, "00101").amps)
-    assert np.allclose(encode_plaintext("00000").amps, basis_state(5, "00000").amps)
-    assert np.allclose(encode_plaintext("1").amps, [0, 1])
 
 
 def test_xor_bits():

@@ -3,7 +3,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import transmission_from_json_oracle
@@ -14,6 +14,9 @@ from qcipher.keyschedule import key_from_json
 from qcipher.modes import Mode, Transmission, decrypt, transmission_from_json
 from qcipher.statevector import StateVector
 from test_wire import OPS, _mutate
+
+# The stderr prefix of each nonzero exit code (see the README).
+PREFIXES = {1: "error:", 2: "integrity error:", 3: "resource error:"}
 
 
 @pytest.fixture
@@ -233,6 +236,24 @@ def test_attack_stats_full_circuit_fails(keyfile, capsys):
     assert obj["counts"]["recovered_qubits"] <= 2
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # An exact count too long to print (over 4,300 digits).
+        (["attack", "--kind", "bounds", "--n", "8", "--L", "3000"], 3),
+        (["keyspace", "--n", "2000", "--N", "256"], 3),
+        # A grid beyond numpy's int64 draws.
+        (["keygen", "--n", "8", "--N", "100000000000000000000", "--out", "{tmp}/k.json"], 1),
+        (["attack", "--kind", "stats", "--N", "100000000000000000000"], 1),
+    ],
+    ids=["attack-bounds", "keyspace", "keygen", "attack-stats"],
+)
+def test_oversized_integer_options_exit_with_their_prefix(tmp_path, capsys, argv, code):
+    assert main([a.format(tmp=tmp_path) for a in argv]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(PREFIXES[code]) and "Traceback" not in err, err
+
+
 def test_keyspace_command(capsys):
     assert main(["keyspace", "--n", "4", "--N", "16", "--json"]) == 0
     obj = json.loads(capsys.readouterr().out)
@@ -348,9 +369,6 @@ def test_non_utf8_input_file_exits_1(keyfile, tmp_path, capsys, argv):
 
 # --- decrypt on mutated files --------------------------------------------------
 
-# The stderr prefix of each nonzero exit code (see the README).
-PREFIXES = {1: "error:", 2: "integrity error:", 3: "resource error:"}
-
 
 @pytest.fixture(scope="module")
 def wire_files(tmp_path_factory):
@@ -410,3 +428,52 @@ def test_decrypt_of_a_mutated_file_exits_as_the_oracle_reads_it(wire_files, base
         assert err == "" and out.read_bytes() == want_bytes
     else:
         assert err.startswith(PREFIXES[code]) and not out.exists(), err
+
+
+# --- integer options fuzzer --------------------------------------------------
+# keygen, keyspace and attack --kind bounds take only integer options. Any
+# value from -10 up to 4,000 digits must end in exit 0 or a CipherError exit
+# with its README prefix (or, for exit 1, argparse's usage message), never in
+# a traceback. --samples and --trials are left out: they allocate or loop by
+# value.
+
+INT_VALUES = st.one_of(
+    st.integers(-10, 40),
+    st.integers(41, 20000),
+    st.integers(2**62, 2**64),
+    st.integers(1, 4000).flatmap(lambda d: st.integers(10 ** (d - 1), 10**d - 1)),
+)
+
+
+@pytest.fixture(scope="module")
+def int_out(tmp_path_factory):
+    return tmp_path_factory.mktemp("ints") / "key.json"
+
+
+@given(
+    kind=st.sampled_from(["keygen", "keyspace", "bounds"]),
+    n=INT_VALUES,
+    N=INT_VALUES,
+    L=INT_VALUES,
+    seed=st.one_of(st.just(0), INT_VALUES),
+)
+@example(kind="keygen", n=8, N=2**63 + 1, L=10, seed=0)
+@example(kind="keyspace", n=2000, N=256, L=10, seed=0)
+@example(kind="bounds", n=8, N=256, L=3000, seed=0)
+@settings(max_examples=300, deadline=None)
+def test_integer_options_exit_with_a_readme_prefix(int_out, kind, n, N, L, seed):
+    argv = {
+        "keygen": ["keygen", f"--n={n}", f"--N={N}", "--out", str(int_out)],
+        "keyspace": ["keyspace", f"--n={n}", f"--N={N}"],
+        "bounds": ["attack", "--kind", "bounds", f"--n={n}", f"--L={L}"],
+    }[kind] + [f"--seed={seed}"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+    else:
+        usage = code == 1 and err.startswith(f"qcipher {argv[0]}: ")
+        assert usage or err.startswith(PREFIXES[code]), (argv[:3], code, err[:200])

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import basis_index_oracle, cnot_matrix, kron_oracle, mode2_gate_by_gate, mode2_gate_by_gate_inverse
+from oracles import (
+    apply_circuit,
+    basis_index_oracle,
+    cnot_matrix,
+    kron_oracle,
+    mode2_gate_by_gate,
+    mode2_gate_by_gate_inverse,
+)
 from qcipher import modes
 from qcipher.cipher import (
     PlainBlock,
@@ -19,9 +26,7 @@ from qcipher.cipher import (
     _inverse_probs,
     _kron,
     _read_basis_probs,
-    apply_circuit,
     decrypt_block,
-    encode_plaintext,
     encrypt_block,
 )
 from qcipher.errors import InputError, IntegrityError
@@ -33,7 +38,7 @@ from qcipher.keyschedule import (
     generate_key,
     key_circuit,
 )
-from qcipher.statevector import StateVector
+from qcipher.statevector import StateVector, basis_state
 
 
 def _matrix(cols, n):
@@ -103,8 +108,9 @@ def test_basis_indices_of_a_key_is_a_permutation(n):
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_encrypt_table_rows_are_encrypt_amps(n):
-    # Every row up to n = 8, where mode 2 folds the table into the inverse;
-    # the corners and 64 sampled rows beyond.
+    # Every row up to n = 8, the width of mode 2 at three or more blocks,
+    # where its encryption and its guess check read the table; the
+    # corners and 64 sampled rows beyond.
     rng = np.random.default_rng(970 + n)
     cc = compile_circuit(key_circuit(generate_key(n, 256, rng)), n)
     table = _encrypt_table(cc)
@@ -130,7 +136,7 @@ def test_compiled_path_matches_gate_by_gate(n, N, through_step, seed):
 
     assert np.array_equal(_matrix(cc.cols, n), cnot_matrix(ops, n))
 
-    cipher = apply_circuit(encode_plaintext(bits), ops).amps
+    cipher = apply_circuit(basis_state(n, bits), ops).amps
     assert np.array_equal(_encrypt_amps(cc, bits), cipher)
 
     assert _inverse_read(ops, cipher, n) == bits
@@ -156,12 +162,12 @@ def test_compiled_path_matches_gate_by_gate(n, N, through_step, seed):
 
 @pytest.mark.parametrize("n, seed", [(17, 3), (18, 4)])
 def test_three_group_inverse_matches_gate_by_gate(n, seed):
-    # Above 16 qubits the inverse runs three group matrices and no table.
+    # Above 16 qubits the inverse runs three group matrices.
     rng = np.random.default_rng(seed)
     k = generate_key(n, 256, rng)
     bits = "".join(str(b) for b in rng.integers(0, 2, size=n))
     ops = key_circuit(k)
-    cipher = apply_circuit(encode_plaintext(bits), ops).amps
+    cipher = apply_circuit(basis_state(n, bits), ops).amps
     assert np.array_equal(_encrypt_amps(compile_circuit(ops, n), bits), cipher)
 
     flipped = cipher.copy()

@@ -7,15 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_apply, random_state
-from qcipher.errors import CipherError, InputError, InvalidKeyError
+from oracles import apply_circuit, dense_apply, inverse_circuit, random_state
+from qcipher.errors import CipherError, InputError, InvalidKeyError, ResourceError
 from qcipher.keyschedule import (
     CipherKey,
     Cnot,
     SingleU,
     enumerate_keys,
     generate_key,
-    inverse_circuit,
     key_circuit,
     key_from_json,
     key_to_json,
@@ -83,6 +82,13 @@ def test_generate_key_input_validation():
         generate_key(4, 1, rng)
 
 
+def test_generate_key_grid_fits_numpy_draws():
+    # numpy draws angle indices as int64, so N = 2**63 is the largest grid.
+    assert generate_key(2, 2**63, np.random.default_rng(0)).N == 2**63
+    with pytest.raises(InputError):
+        generate_key(2, 2**63 + 1, np.random.default_rng(0))
+
+
 def test_step4_chain_sequence_n8_identity_order():
     k = canonical_key(8)
     step4 = key_circuit(k)[8 + 7 + 4 :]
@@ -143,7 +149,6 @@ def test_inverse_circuit_is_reversal():
 
 
 def test_circuit_then_inverse_is_identity_on_random_states():
-    from qcipher.cipher import apply_circuit
     from qcipher.statevector import fidelity
 
     rng = np.random.default_rng(5)
@@ -159,8 +164,6 @@ def test_key_circuit_matches_dense_oracle():
     for n in (2, 3):
         k = generate_key(n, 16, rng)
         s = random_state(n, rng)
-        from qcipher.cipher import apply_circuit
-
         got = apply_circuit(s, key_circuit(k))
         want = dense_apply(key_circuit(k), s.amps, n)
         assert np.max(np.abs(got.amps - want)) < 1e-12
@@ -173,6 +176,20 @@ def test_keyspace_size_values():
     assert keyspace_size(8, 256).log2 == pytest.approx(73.169925001442312, abs=1e-9)
     assert keyspace_size(2, 2).size == 4
     assert keyspace_size(3, 4).size == 64
+
+
+@pytest.mark.parametrize(
+    "n, N, prints",
+    [(1557, 2, True), (1558, 2, False), (2, 10**2149, True), (2, 10**2150, False), (10**3999, 2, False)],
+)
+def test_keyspace_size_is_built_only_when_it_prints(n, N, prints):
+    # Python prints an int of at most 4,300 digits. The size is at least
+    # 2**n, so a 4,000-digit n fails before any float is formed.
+    if prints:
+        assert len(str(keyspace_size(n, N).size)) <= 4300
+    else:
+        with pytest.raises(ResourceError):
+            keyspace_size(n, N)
 
 
 def test_keyspace_lower_bound():
@@ -226,6 +243,13 @@ def test_cipherkey_rejects_bad_upstream_order():
 def test_cipherkey_rejects_bad_mode2_pairing():
     with pytest.raises(InvalidKeyError):
         CipherKey(2, 4, (0, 0), ((2, 1),), (1,), mode2_pairing=(1, 1))
+
+
+@pytest.mark.parametrize("version", [True, 1.0, np.int64(1)])
+def test_cipherkey_version_is_a_strict_integer(version):
+    # Each equals 1, but key_to_json would write a file its reader rejects.
+    with pytest.raises(InvalidKeyError):
+        CipherKey(2, 4, (0, 0), ((2, 1),), (1,), version=version)
 
 
 def test_cipherkey_odd_n_unpaired_middle():
@@ -306,6 +330,10 @@ def test_key_json_rejects_garbage():
         ("step4_upstream_order", [True]),
         ("mode2_pairing", [1.0, 2]),
         ("mode2_pairing", [True, 2]),
+        ("version", True),
+        ("version", 1.0),
+        ("n", 2.0),
+        ("N", True),
     ],
 )
 def test_key_json_rejects_non_integer_entries(field, value):

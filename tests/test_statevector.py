@@ -15,7 +15,6 @@ from qcipher.statevector import (
     apply_single,
     basis_state,
     fidelity,
-    marginal_p0,
     marginals,
     measure_all,
     state_from_json,
@@ -64,7 +63,7 @@ def test_amplitudes_are_read_only():
 def test_apply_single_on_zero():
     s = apply_single(basis_state(1, "0"), 1, math.pi / 3)
     assert np.allclose(s.amps, [math.cos(math.pi / 3), math.sin(math.pi / 3)])
-    assert marginal_p0(s, 1) == pytest.approx(0.25, abs=1e-12)
+    assert marginals(s)[0] == pytest.approx(0.25, abs=1e-12)
 
 
 def test_apply_single_on_one():
@@ -148,15 +147,15 @@ def test_marginal_after_cnot_mixing():
     )
     out = apply_cnot(s, 1, 2)
     # brute-force four-amplitude sum, then the closed form a1^2 b1^2 + a2^2 b2^2
-    assert marginal_p0(out, 2) == pytest.approx(brute_marginal_p0(out.amps, 2, 2), abs=1e-15)
-    assert marginal_p0(out, 2) == pytest.approx(0.4608, abs=1e-12)
-    assert marginal_p0(out, 1) == pytest.approx(0.36, abs=1e-12)
+    assert marginals(out)[1] == pytest.approx(brute_marginal_p0(out.amps, 2, 2), abs=1e-15)
+    assert marginals(out)[1] == pytest.approx(0.4608, abs=1e-12)
+    assert marginals(out)[0] == pytest.approx(0.36, abs=1e-12)
 
 
 def test_marginal_on_basis_state():
     s = basis_state(2, "01")
-    assert marginal_p0(s, 1) == pytest.approx(1.0)
-    assert marginal_p0(s, 2) == pytest.approx(0.0)
+    assert marginals(s)[0] == pytest.approx(1.0)
+    assert marginals(s)[1] == pytest.approx(0.0)
 
 
 def test_marginals_vector_matches_brute_force():
@@ -251,8 +250,8 @@ def test_tensor_preserves_norm_and_marginals():
     joint = tensor(a, b)
     assert abs(np.sum(np.abs(joint.amps) ** 2) - 1.0) < 1e-9
     for q in range(1, 4):
-        assert marginal_p0(joint, q) == pytest.approx(brute_marginal_p0(joint.amps, 5, q), abs=1e-12)
-        assert marginal_p0(joint, q) == pytest.approx(marginal_p0(a, q), abs=1e-12)
+        assert marginals(joint)[q - 1] == pytest.approx(brute_marginal_p0(joint.amps, 5, q), abs=1e-12)
+        assert marginals(joint)[q - 1] == pytest.approx(marginals(a)[q - 1], abs=1e-12)
 
 
 def test_tensor_size_cap():
