@@ -25,6 +25,15 @@ from .keyschedule import _MAX_COUNT_LOG2, _check_count
 from .statevector import StateVector, fidelity, index_to_bits
 
 BRUTE_FORCE_CAP = 10**6
+# Largest ``samples`` of ``marginal_estimation_attack``: its draws are one
+# array of 8-byte indices, plus the sampler's temporaries of about twice
+# that (240 MB at the cap; ``qcipher attack --kind stats --samples``).
+SAMPLES_CAP = 10**7
+# Largest ``trials`` of ``detection_experiment`` and
+# ``analysis.verify_dependence_rules``, which run each trial in Python
+# (``qcipher attack --kind intercept --trials``, ``qcipher analyze --kind
+# rules --trials``).
+TRIALS_CAP = 10**5
 
 
 @dataclass(frozen=True)
@@ -105,6 +114,8 @@ def detection_experiment(
         raise InputError("repetitions must be >= 1")
     if trials < 1:
         raise InputError("trials must be >= 1")
+    if trials > TRIALS_CAP:
+        raise ResourceError(f"{trials} trials exceed the {TRIALS_CAP}-trial cap")
     ciphertext = encrypt_block(k, p).state
     collision = collision_probability(ciphertext)
     cc = compile_circuit(key_circuit(k), k.n)
@@ -183,6 +194,8 @@ def marginal_estimation_attack(
     """
     if samples < 1:
         raise InputError("samples must be >= 1")
+    if samples > SAMPLES_CAP:
+        raise ResourceError(f"{samples} samples exceed the {SAMPLES_CAP}-sample cap")
     if p.n != k.n:
         raise InputError(f"plaintext length {p.n} does not match key block size {k.n}")
     cc = compile_circuit(key_circuit(k, through_step=1 if step1_only else 4), k.n)

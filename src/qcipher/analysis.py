@@ -33,8 +33,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .adversary import TRIALS_CAP
 from .cipher import PlainBlock, _encrypt_amps, xor_bits
-from .errors import InputError
+from .errors import InputError, ResourceError
 from .keyschedule import (
     CipherKey,
     Cnot,
@@ -329,6 +330,8 @@ def verify_dependence_rules(
         raise InputError("verify_dependence_rules supports 2 <= n <= 6")
     if trials < 1:
         raise InputError("trials must be >= 1")
+    if trials > TRIALS_CAP:
+        raise ResourceError(f"{trials} trials exceed the {TRIALS_CAP}-trial cap")
     _check_probe(epsilon, grid)
     offsets = [2.0 * math.pi * t / (grid + 1) for t in range(1, grid + 1)]
     locality: list[str] = []

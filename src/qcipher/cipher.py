@@ -10,7 +10,15 @@ import numpy as np
 
 from .errors import InputError, IntegrityError
 from .keyschedule import CipherKey, CompiledCircuit, compile_circuit, key_circuit
-from .statevector import StateVector, _amps_body, _check_bits, _load_json, _state_from_fields, index_to_bits
+from .statevector import (
+    StateVector,
+    _amps_body,
+    _check_bits,
+    _load_json,
+    _owned,
+    _state_from_fields,
+    index_to_bits,
+)
 
 PURITY_TOL = 1e-9
 
@@ -96,9 +104,10 @@ def _kron(thetas: tuple[float, ...], bits: str | None = None) -> np.ndarray:
 
 def _encrypt_amps(cc: CompiledCircuit, bits: str) -> np.ndarray:
     """Amplitudes of the circuit applied to |bits>: one scatter of the
-    product state through A. They are real, so the array is float64 (a
-    scatter into complex128 costs three times as much), and they equal the
-    gate-by-gate simulator's value for value."""
+    product state through A. They are real, so the array is float64, as
+    ``StateVector`` then keeps it (a scatter into complex128 costs three
+    times as much), and they equal the gate-by-gate simulator's value for
+    value."""
     # A is a bijection, so the scatter writes every entry.
     out = np.empty(1 << cc.n)
     out[_basis_indices(cc.cols)] = _kron(cc.thetas, bits)
@@ -153,12 +162,12 @@ def _inverse(cc: CompiledCircuit, part: np.ndarray, m: int = 1, pairing: tuple[i
 
 
 def _inverse_probs(cc: CompiledCircuit, amps: np.ndarray, m: int = 1, pairing: tuple[int, ...] = ()) -> np.ndarray:
-    """Basis probabilities after the inverse circuit. The real and imaginary
-    parts run as separate float64 arrays; honest ciphertexts are real, so
-    the imaginary one runs only when it is nonzero."""
+    """Basis probabilities after the inverse circuit. A complex array's real
+    and imaginary parts run as separate float64 arrays; a real one, as every
+    honest ciphertext is, runs once."""
     re = _inverse(cc, amps.real, m, pairing)
     probs = np.square(re, out=re)
-    if amps.imag.any():
+    if np.iscomplexobj(amps):
         im = _inverse(cc, amps.imag, m, pairing)
         probs += np.square(im, out=im)
     return probs
@@ -169,7 +178,7 @@ def encrypt_block(k: CipherKey, p: PlainBlock) -> CipherBlock:
     if p.n != k.n:
         raise InputError(f"plaintext length {p.n} does not match key block size {k.n}")
     amps = _encrypt_amps(compile_circuit(key_circuit(k), k.n), p.bits)
-    return CipherBlock(StateVector(k.n, amps))
+    return CipherBlock(_owned(k.n, amps))
 
 
 def _read_basis_probs(probs: np.ndarray, n: int, what: str) -> str:

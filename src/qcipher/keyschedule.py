@@ -104,6 +104,18 @@ class CipherKey:
             raise InvalidKeyError(f"expected {self.n} theta indices, got {len(theta)}")
         if any(not 0 <= k < self.N for k in theta):
             raise InvalidKeyError(f"theta indices must lie in [0, {self.N})")
+        # grid_angle divides the float 2*pi*k by N. Below 2**1021 every
+        # angle is finite; above it, N itself or 2*pi*k can pass the float
+        # range, and no such key can encrypt.
+        if self.N.bit_length() > 1021:
+            try:
+                finite = all(math.isfinite(grid_angle(k, self.N)) for k in theta)
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise InvalidKeyError(
+                    f"grid size N of {self.N.bit_length()} bits puts an angle past the float range"
+                )
         object.__setattr__(self, "theta_indices", theta)
 
         try:

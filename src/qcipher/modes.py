@@ -47,7 +47,7 @@ from .cipher import (
 )
 from .errors import InputError, ResourceError
 from .keyschedule import CipherKey, CompiledCircuit, compile_circuit, key_circuit
-from .statevector import MAX_QUBITS, StateVector, _check_bits, _load_json, index_to_bits, measure_all
+from .statevector import MAX_QUBITS, StateVector, _check_bits, _load_json, _owned, index_to_bits, measure_all
 
 
 class Mode(str, Enum):
@@ -209,10 +209,11 @@ def mode2_encrypt(k: CipherKey, blocks: list[PlainBlock], cfg: ModeConfig) -> Tr
         # a millisecond.
         pi = _pairing_map(k.n, cfg.mode2_pairing)  # type: ignore[arg-type]
         amps = (amps.reshape(-1, 1 << k.n, 1) * _encrypt_table(cc)[int(p.bits, 2) ^ pi]).ravel()
-    return Transmission(Mode.ENTANGLING, k.n, m, joint=StateVector(m * k.n, amps))
+    return Transmission(Mode.ENTANGLING, k.n, m, joint=_owned(m * k.n, amps))
 
 
-# Amplitudes per slice of ``_argmax_abs``: 1 MiB of complex128.
+# Amplitudes per slice of ``_argmax_abs``: 512 KiB of float64, 1 MiB of
+# complex128.
 _ARGMAX_SLICE = 1 << 16
 
 
@@ -246,8 +247,9 @@ def _mode2_read(cc: CompiledCircuit, amps: np.ndarray, m: int, pairing: tuple[in
     the register against the guess's chain, last block first: each block
     is one gather of the key's table T at p_i ^ pi and one batched product
     along its axis, and the first block is a dot with row T[z_1]. The
-    register's real and imaginary parts run together, as the interleaved
-    float64 pairs they are stored as, in one pass that makes no copy.
+    register is contracted as the float64 values it is stored as, one per
+    amplitude of a real register and an interleaved (re, im) pair of a
+    complex one, in one pass that makes no copy.
     """
     n, size = cc.n, 1 << cc.n
     # m >= 2 means n <= 12 under the cap, so T, pi and A^-1 fit.
@@ -259,12 +261,12 @@ def _mode2_read(cc: CompiledCircuit, amps: np.ndarray, m: int, pairing: tuple[in
     ys = [top >> (n * (m - 1 - i)) & (size - 1) for i in range(m)]
     index = [int(unmix[y]) ^ flip for y in ys]
     index[1:] = [z ^ int(pi[y]) for z, y in zip(index[1:], ys)]
-    v = amps
+    width = 2 if np.iscomplexobj(amps) else 1
+    v = amps.view(np.float64)
     for i in range(m - 1, -1, -1):
         rows = table[index[i] ^ pi] if i else table[index[:1]]
-        pairs = v.view(np.float64).reshape(-1, len(rows), size, 2)
-        v = np.matmul(rows[:, None, :], pairs).view(np.complex128)
-    overlap = complex(v.item())
+        v = np.matmul(rows[:, None, :], v.reshape(-1, len(rows), size, width))
+    overlap = complex(*v.ravel())
     # Accept iff the guess holds all but PURITY_TOL of the probability,
     # written so that a NaN overlap fails. The norm is 1 within NORM_TOL, so
     # an accepted index holds more than half: the one the inverse's argmax

@@ -4,8 +4,9 @@ Conventions used throughout the package:
 
 * Qubits are numbered 1..n, and qubit 1 is the most significant bit of the
   basis index, so ``basis_state(5, "00101")`` puts amplitude 1 at index 5.
-* Amplitudes are stored as complex128 even though the cipher only ever
-  produces real states; the rotation gate keeps real inputs real.
+* Real data stays float64 and complex data stays complex128: every state
+  the cipher makes is real, and the rotation gate keeps real inputs real.
+  A complex array stays complex even when its imaginary part is all zero.
 * Operations are pure: inputs are never mutated, and every returned
   ``StateVector`` owns a read-only amplitude buffer, so values are safe to
   share between threads. Randomness enters only through an explicitly
@@ -29,33 +30,59 @@ NORM_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Normalized pure state of ``n`` qubits as ``2**n`` complex amplitudes."""
+    """Normalized pure state of ``n`` qubits as ``2**n`` amplitudes.
+
+    ``amps`` is a read-only copy of the given data: float64 when the data
+    is real, complex128 when it is complex (whatever its imaginary part)."""
 
     n: int
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool):
-            raise InputError("qubit count must be an integer")
-        if self.n < 1:
-            raise InputError(f"qubit count must be >= 1, got {self.n}")
-        if self.n > MAX_QUBITS:
-            raise ResourceError(f"qubit count {self.n} exceeds the {MAX_QUBITS}-qubit cap")
-        amps = np.array(self.amps, dtype=np.complex128, copy=True).reshape(-1)
-        if amps.shape != (1 << self.n,):
-            raise InputError(f"expected {1 << self.n} amplitudes, got {amps.shape[0]}")
-        # One pass and no temporaries. A NaN or infinite amplitude makes the
-        # norm NaN or inf, which fails this test (written so that NaN
-        # compares as a failure).
-        norm = float(np.vdot(amps, amps).real)
-        if not abs(norm - 1.0) <= NORM_TOL:
-            raise InputError(f"squared norm {norm!r} deviates from 1 beyond {NORM_TOL}")
-        amps.flags.writeable = False
-        object.__setattr__(self, "amps", amps)
+        _check_n(self.n)
+        given = np.asarray(self.amps)
+        # An object array may hold complex numbers, so it is held as complex.
+        real = given.dtype != object and not np.iscomplexobj(given)
+        _seal(self, np.array(given, dtype=np.float64 if real else np.complex128, copy=True))
 
     @property
     def size(self) -> int:
         return 1 << self.n
+
+
+def _check_n(n: object) -> None:
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise InputError("qubit count must be an integer")
+    if n < 1:
+        raise InputError(f"qubit count must be >= 1, got {n}")
+    if n > MAX_QUBITS:
+        raise ResourceError(f"qubit count {n} exceeds the {MAX_QUBITS}-qubit cap")
+
+
+def _seal(s: StateVector, amps: np.ndarray) -> None:
+    """Check the shape and norm of ``amps``, freeze it and store it in ``s``."""
+    amps = amps.reshape(-1)
+    if amps.shape != (1 << s.n,):
+        raise InputError(f"expected {1 << s.n} amplitudes, got {amps.shape[0]}")
+    # One pass and no temporaries. A NaN or infinite amplitude makes the
+    # norm NaN or inf, which fails this test (written so that NaN compares
+    # as a failure).
+    norm = float(np.vdot(amps, amps).real)
+    if not abs(norm - 1.0) <= NORM_TOL:
+        raise InputError(f"squared norm {norm!r} deviates from 1 beyond {NORM_TOL}")
+    amps.flags.writeable = False
+    object.__setattr__(s, "amps", amps)
+
+
+def _owned(n: int, amps: np.ndarray) -> StateVector:
+    """A StateVector that takes ``amps`` as its buffer instead of copying it:
+    for a float64 or complex128 array the package has just built and keeps
+    no other reference to. Every check of the constructor runs."""
+    _check_n(n)
+    s = object.__new__(StateVector)
+    object.__setattr__(s, "n", n)
+    _seal(s, amps)
+    return s
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,9 +116,9 @@ def basis_state(n: int, bits: str) -> StateVector:
         raise InputError(f"bitstring length {len(bits)} does not match n={n}")
     if n > MAX_QUBITS:
         raise ResourceError(f"qubit count {n} exceeds the {MAX_QUBITS}-qubit cap")
-    amps = np.zeros(1 << n, dtype=np.complex128)
+    amps = np.zeros(1 << n)
     amps[int(bits, 2)] = 1.0
-    return StateVector(n, amps)
+    return _owned(n, amps)
 
 
 def _single_inplace(amps: np.ndarray, n: int, q: int, theta: float) -> None:
@@ -122,7 +149,7 @@ def apply_single(s: StateVector, q: int, theta: float) -> StateVector:
     _check_qubit(s.n, q)
     out = s.amps.copy()
     _single_inplace(out, s.n, q, float(theta))
-    return StateVector(s.n, out)
+    return _owned(s.n, out)
 
 
 def apply_cnot(s: StateVector, control: int, target: int) -> StateVector:
@@ -133,7 +160,7 @@ def apply_cnot(s: StateVector, control: int, target: int) -> StateVector:
         raise InputError("control and target must differ")
     out = s.amps.copy()
     _cnot_inplace(out, s.n, control, target)
-    return StateVector(s.n, out)
+    return _owned(s.n, out)
 
 
 def _marginals_of(amps: np.ndarray, n: int) -> np.ndarray:
@@ -166,7 +193,7 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Joint state with ``a``'s qubits first (most significant)."""
     if a.n + b.n > MAX_QUBITS:
         raise ResourceError(f"joint register of {a.n + b.n} qubits exceeds the {MAX_QUBITS}-qubit cap")
-    return StateVector(a.n + b.n, np.kron(a.amps, b.amps))
+    return _owned(a.n + b.n, np.kron(a.amps, b.amps))
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:
@@ -189,12 +216,12 @@ _CHUNK = 1 << 20  # characters of an "amps" array converted at a time
 
 def _amps_body(amps: np.ndarray) -> str:
     """The text of the pairs, without the outer brackets: one %-template per
-    slice of pairs. When every imaginary part is +0, only the real parts are
-    formatted and the template holds the 0 that %.17g would write."""
-    if not amps.imag.any() and not np.signbit(amps.imag).any():
-        template, flat, width = "[%.17g, 0]", amps.real, 1
-    else:
+    slice of pairs. A real array formats only its values, and the template
+    holds the 0 that %.17g writes for an imaginary part of +0."""
+    if np.iscomplexobj(amps):
         template, flat, width = "[%.17g, %.17g]", amps.view(np.float64), 2
+    else:
+        template, flat, width = "[%.17g, 0]", amps, 1
     parts = []
     for a in range(0, amps.size, _SLICE):
         values = flat[a * width : (a + _SLICE) * width].tolist()
@@ -220,8 +247,10 @@ class _Amps:
         return None if self.chunks is None else sum(c[2] for c in self.chunks)
 
     def values(self) -> np.ndarray:
-        """One split and one float conversion per chunk, with no list per pair."""
-        out = np.zeros(self.pairs(), dtype=np.complex128)
+        """One split and one float conversion per chunk, with no list per pair:
+        float64 when every imaginary part is the literal 0, else complex128."""
+        real = all(c[3] for c in self.chunks)
+        out = np.zeros(self.pairs(), dtype=np.float64 if real else np.complex128)
         at = 0
         for a, b, pairs, zero_im in self.chunks:
             words = self.text[a:b].translate(_NO_BRACKETS).split(",")
@@ -348,7 +377,7 @@ def _state_from_fields(n: object, amps_field: object) -> StateVector:
         # Well-formed but non-normalized or non-finite payloads are treated
         # as corruption.
         raise IntegrityError(f"statevector payload norm {norm!r} deviates from 1")
-    return StateVector(n, amps)
+    return _owned(n, amps)
 
 
 def state_from_json(text: str) -> StateVector:

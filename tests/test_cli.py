@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import transmission_from_json_oracle
+from qcipher.adversary import SAMPLES_CAP, TRIALS_CAP
 from qcipher.cipher import CipherBlock
 from qcipher.cli import _bits_to_bytes, _mode_config, main
 from qcipher.errors import CipherError, IntegrityError, ResourceError
@@ -245,8 +246,14 @@ def test_attack_stats_full_circuit_fails(keyfile, capsys):
         # A grid beyond numpy's int64 draws.
         (["keygen", "--n", "8", "--N", "100000000000000000000", "--out", "{tmp}/k.json"], 1),
         (["attack", "--kind", "stats", "--N", "100000000000000000000"], 1),
+        # One past the sample and trial caps, refused before any draw.
+        (["attack", "--kind", "stats", "--samples", str(SAMPLES_CAP + 1)], 3),
+        (["attack", "--kind", "stats", "--samples", "10" * 2000], 3),
+        (["attack", "--kind", "intercept", "--trials", str(TRIALS_CAP + 1)], 3),
+        (["attack", "--kind", "intercept", "--trials", "10" * 2000], 3),
     ],
-    ids=["attack-bounds", "keyspace", "keygen", "attack-stats"],
+    ids=["attack-bounds", "keyspace", "keygen", "attack-stats",
+         "samples", "samples-huge", "trials", "trials-huge"],
 )
 def test_oversized_integer_options_exit_with_their_prefix(tmp_path, capsys, argv, code):
     assert main([a.format(tmp=tmp_path) for a in argv]) == code
@@ -273,6 +280,42 @@ def test_decrypt_nan_tampered_payload_exits_2(keyfile, tmp_path, capsys):
     out = tmp_path / "o.bin"
     assert main(["decrypt", "--key", str(keyfile), "--in", str(enc), "--out", str(out)]) == 2
     assert "integrity error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_rules_trials_cap_exits_3(keyfile, capsys):
+    assert main(["analyze", "--key", str(keyfile), "--kind", "rules", "--trials", str(TRIALS_CAP + 1)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(PREFIXES[3]) and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize(
+    "N, theta",
+    [
+        (10**400, None),  # N itself is past the float range
+        (2**1024 - 1, None),  # N rounds up to 2**1024 as a float
+        (2**1023, 2**1022 + 1),  # 2*pi*k is past the float range
+    ],
+    ids=["N-10**400", "N-2**1024-1", "k-2**1022+1"],
+)
+@pytest.mark.parametrize("command", ["encrypt", "analyze"])
+def test_key_file_whose_angles_overflow_exits_1(keyfile, tmp_path, capsys, N, theta, command):
+    obj = json.loads(keyfile.read_text())
+    obj["N"] = N
+    if theta is not None:
+        obj["theta"][3] = theta
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    data = tmp_path / "msg.bin"
+    data.write_bytes(b"\xaa")
+    out = tmp_path / "out.json"
+    argv = {
+        "encrypt": ["encrypt", "--key", str(bad), "--mode", "m1", "--in", str(data), "--out", str(out)],
+        "analyze": ["analyze", "--key", str(bad), "--kind", "confusion", "--out", str(out)],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(PREFIXES[1]) and "float range" in err and "Traceback" not in err, err
     assert not out.exists()
 
 
@@ -434,8 +477,8 @@ def test_decrypt_of_a_mutated_file_exits_as_the_oracle_reads_it(wire_files, base
 # keygen, keyspace and attack --kind bounds take only integer options. Any
 # value from -10 up to 4,000 digits must end in exit 0 or a CipherError exit
 # with its README prefix (or, for exit 1, argparse's usage message), never in
-# a traceback. --samples and --trials are left out: they allocate or loop by
-# value.
+# a traceback. --samples and --trials are left out: up to their caps they
+# allocate or loop by value.
 
 INT_VALUES = st.one_of(
     st.integers(-10, 40),

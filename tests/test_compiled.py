@@ -172,7 +172,7 @@ def test_three_group_inverse_matches_gate_by_gate(n, seed):
 
     flipped = cipher.copy()
     flipped[np.argmax(np.abs(cipher))] *= -1.0
-    perturbed = cipher.copy()
+    perturbed = cipher.astype(np.complex128)
     perturbed[np.argmin(np.abs(cipher))] += 0.1j
     perturbed /= np.linalg.norm(perturbed)
     theta = list(k.theta_indices)
@@ -295,7 +295,7 @@ def test_compiled_mode2_matches_gate_by_gate(n, m, N, seed):
     amps = t.joint.amps
     flipped = amps.copy()
     flipped[np.argmax(np.abs(amps))] *= -1.0
-    perturbed = amps.copy()
+    perturbed = amps.astype(np.complex128)
     perturbed[np.argmin(np.abs(amps))] += 0.1j
     perturbed /= np.linalg.norm(perturbed)
     theta = list(k.theta_indices)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from qcipher.modes import (
     transmission_from_json,
     transmission_to_json,
 )
-from qcipher.statevector import basis_state, fidelity, marginals, measure_all
+from qcipher.statevector import StateVector, basis_state, fidelity, marginals, measure_all
 
 
 def key6(seed=0):
@@ -377,3 +378,50 @@ def test_mode_config_rejects_non_string_iv(iv):
     for mode in Mode:
         with pytest.raises(InputError, match="iv"):
             ModeConfig(mode, iv)
+
+
+def test_mode2_register_is_built_and_read_without_a_copy():
+    # n = 5, m = 4: a 20-qubit register of 8 MiB of float64. Encryption may
+    # hold the register plus a quarter of it at its peak, and so may
+    # decryption with the register live; a complex128 copy of the register
+    # would add twice its size.
+    k = generate_key(5, 256, np.random.default_rng(17))
+    cfg = ModeConfig(Mode.ENTANGLING, "10110")
+    blocks = blocks_of("01101", "11100", "00011", "10010")
+    mode2_decrypt(k, mode2_encrypt(k, blocks, cfg), cfg)  # warm every lazy set-up
+    register = 8 << 20
+    tracemalloc.start()
+    try:
+        t = mode2_encrypt(k, blocks, cfg)
+        encrypt_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        out = mode2_decrypt(k, t, cfg)
+        decrypt_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == blocks
+    assert encrypt_peak <= 1.25 * register, encrypt_peak / register
+    assert decrypt_peak <= 1.25 * register, decrypt_peak / register
+
+
+def test_statevector_owns_a_read_only_buffer():
+    # A caller's array is copied, writable or not; a state the package
+    # builds keeps its own array. Either way the buffer is read-only.
+    for given in (np.array([0.6, 0.8]), np.array([0.6, 0.8j]), np.array([0.6, 0.8j], dtype=object)):
+        for writeable in (True, False):
+            a = given.copy()
+            a.flags.writeable = writeable
+            s = StateVector(1, a)
+            assert s.amps.dtype == (np.float64 if given.dtype == np.float64 else np.complex128)
+            assert s.amps is not a and not s.amps.flags.writeable
+            a.flags.writeable = True
+            a[0] = 0.0
+            assert s.amps[0] == 0.6
+    k = key6()
+    m1 = mode1_encrypt(k, blocks_of("010011"), ModeConfig(Mode.MEASURED, "000000"), np.random.default_rng(1))
+    m2 = mode2_encrypt(k, blocks_of("010011", "111000"), ModeConfig(Mode.ENTANGLING, "000000"))
+    read = transmission_from_json(transmission_to_json(m2))
+    for s in (m1.blocks[0].state, m1.iv_carriers[0], m2.joint, read.joint, basis_state(3, "101")):
+        assert s.amps.dtype == np.float64 and not s.amps.flags.writeable
+        with pytest.raises(ValueError):
+            s.amps[0] = 0.0

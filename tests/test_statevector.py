@@ -7,8 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_marginal_p0, dense_apply, random_state
-from qcipher.errors import InputError, IntegrityError, ResourceError
-from qcipher.keyschedule import Cnot, SingleU
+from qcipher.cipher import CipherBlock, PlainBlock, cipherblock_to_json, decrypt_block
+from qcipher.errors import CipherError, InputError, IntegrityError, ResourceError
+from qcipher.keyschedule import Cnot, SingleU, generate_key
+from qcipher.modes import (
+    Mode,
+    ModeConfig,
+    Transmission,
+    mode1_decrypt,
+    mode1_encrypt,
+    mode2_decrypt,
+    mode2_encrypt,
+    transmission_to_json,
+)
 from qcipher.statevector import (
     StateVector,
     apply_cnot,
@@ -325,16 +336,120 @@ def test_state_json_norm_violation_is_integrity_error():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_statevector_rejects_non_finite_amplitudes(bad):
-    with pytest.raises(InputError):
-        StateVector(2, [bad, 0, 0, 0])
+    # In a real array, and in either part of a complex one.
+    for amps in ([bad, 0, 0, 0], [complex(bad, 0), 0, 0, 0], [complex(0.6, bad), 0.8, 0, 0]):
+        with pytest.raises(InputError):
+            StateVector(2, amps)
 
 
 def test_state_json_rejects_nan_amplitude():
-    with pytest.raises(IntegrityError):
-        state_from_json('{"n": 1, "amps": [[NaN, 0], [0, 0]]}')
+    # In a real array, and in either part of a complex one.
+    for pair in ["[NaN, 0]", "[Infinity, 0]", "[0.6, NaN]", "[0.6, -Infinity]"]:
+        with pytest.raises(IntegrityError):
+            state_from_json(f'{{"n": 1, "amps": [{pair}, [0.8, 0]]}}')
 
 
 @pytest.mark.parametrize("bits", [["0", "1"], b"01", 5])
 def test_basis_state_rejects_non_string_bits(bits):
     with pytest.raises(InputError, match="bitstring"):
         basis_state(2, bits)
+
+
+# --- real-held and complex-held states ---------------------------------------
+# Real data stays float64 and complex data stays complex128. A complex copy
+# of a real state, with every imaginary part +0, must give the same reads,
+# errors and file bytes as the real one.
+
+
+def _twins(n, real):
+    a, b = StateVector(n, real), StateVector(n, real.astype(np.complex128))
+    assert a.amps.dtype == np.float64 and b.amps.dtype == np.complex128
+    return a, b
+
+
+def _result(f):
+    try:
+        return f()
+    except CipherError as exc:
+        return type(exc)
+
+
+def _bits(rng, n):
+    return "".join(str(b) for b in rng.integers(0, 2, size=n))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 4),
+    m=st.integers(1, 3),
+    tamper=st.sampled_from(["none", "flip", "noise"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_real_and_complex_held_copies_read_alike(seed, n, m, tamper):
+    rng = np.random.default_rng(seed)
+    k = generate_key(n, 16, rng)
+    iv = _bits(rng, n)
+    blocks = [PlainBlock(_bits(rng, n)) for _ in range(m)]
+
+    def twins(state):
+        # With guarded angles (N = 16) a sign flip or noise leaves no basis
+        # state, so the decrypts below raise IntegrityError.
+        amps = state.amps.copy()
+        if tamper == "flip":
+            amps[np.argmax(np.abs(amps))] *= -1.0
+        elif tamper == "noise":
+            amps += 0.3 * rng.normal(size=amps.size)
+            amps /= np.linalg.norm(amps)
+        return _twins(state.n, amps)
+
+    t1 = mode1_encrypt(k, blocks, ModeConfig(Mode.MEASURED, iv), rng)
+    cfg2 = ModeConfig(Mode.ENTANGLING, iv, tuple(int(q) for q in rng.permutation(n) + 1))
+    t2 = mode2_encrypt(k, blocks, cfg2)
+    pairs1 = [twins(b.state) for b in t1.blocks]
+    carriers = [twins(c) for c in t1.iv_carriers]
+    joint = twins(t2.joint)
+
+    def transmissions(h):
+        sealed = tuple(CipherBlock(p[h], i, "m1") for i, p in enumerate(pairs1))
+        return (
+            Transmission(Mode.MEASURED, n, m, sealed, tuple(c[h] for c in carriers)),
+            Transmission(Mode.ENTANGLING, n, m, joint=joint[h]),
+        )
+
+    (m1_real, m2_real), (m1_cplx, m2_cplx) = transmissions(0), transmissions(1)
+    assert transmission_to_json(m1_real) == transmission_to_json(m1_cplx)
+    assert transmission_to_json(m2_real) == transmission_to_json(m2_cplx)
+    cfg1 = ModeConfig(Mode.MEASURED, iv)
+    got = _result(lambda: mode1_decrypt(k, m1_real, cfg1))
+    assert got == _result(lambda: mode1_decrypt(k, m1_cplx, cfg1))
+    assert got == blocks if tamper == "none" else got is IntegrityError
+    got = _result(lambda: mode2_decrypt(k, m2_real, cfg2))
+    assert got == _result(lambda: mode2_decrypt(k, m2_cplx, cfg2))
+    assert got == blocks if tamper == "none" else got is IntegrityError
+
+    for a, b in [*pairs1, *carriers, joint]:
+        if a.n == n:
+            got = _result(lambda: decrypt_block(k, CipherBlock(a)))
+            assert got == _result(lambda: decrypt_block(k, CipherBlock(b)))
+        assert cipherblock_to_json(CipherBlock(a)) == cipherblock_to_json(CipherBlock(b))
+        assert np.array_equal(marginals(a), marginals(b))
+        got_a, got_b = measure_all(a, np.random.default_rng(seed)), measure_all(b, np.random.default_rng(seed))
+        assert got_a.bits == got_b.bits and np.array_equal(got_a.collapsed.amps, got_b.collapsed.amps)
+        # fidelity is a dot product, which BLAS sums in another order for
+        # float64 than for complex128: equal to rounding, not bit for bit.
+        assert fidelity(a, a) == pytest.approx(fidelity(b, b), abs=1e-14)
+        assert fidelity(a, got_a.collapsed) == pytest.approx(fidelity(b, got_b.collapsed), abs=1e-14)
+
+
+def test_negative_zero_imaginary_part_keeps_the_state_complex():
+    amps = np.array([0.6, -0.8, 0.0, 0.0], dtype=np.complex128)
+    amps.imag[1] = -0.0
+    s = StateVector(2, amps)
+    assert s.amps.dtype == np.complex128
+    text = state_to_json(s)
+    assert text == '{"n": 2, "amps": [[0.59999999999999998, 0], [-0.80000000000000004, -0], [0, 0], [0, 0]]}'
+    back = state_from_json(text).amps
+    assert back.dtype == np.complex128 and np.signbit(back.imag).tolist() == [False, True, False, False]
+    # Every imaginary part written as the literal 0 reads back real.
+    plus = state_from_json(state_to_json(StateVector(2, amps.real.astype(np.complex128)))).amps
+    assert plus.dtype == np.float64 and np.array_equal(plus, amps.real)

@@ -86,10 +86,10 @@ READERS = {
 
 
 def _outcome(read, text):
-    """The amplitudes' bits, or the CipherError class; any other exception
-    escapes and fails the test."""
+    """The amplitudes' bits as complex128 (an exact cast from float64), or
+    the CipherError class; any other exception escapes and fails the test."""
     try:
-        return [a.view(np.uint64).tobytes() for a in read(text)]
+        return [np.asarray(a, np.complex128).view(np.uint64).tobytes() for a in read(text)]
     except CipherError as exc:
         return type(exc)
 
