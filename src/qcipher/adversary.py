@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cipher import CipherBlock, PlainBlock, _encrypt_amps, _inverse_probs, encrypt_block
+from .cipher import CipherBlock, PlainBlock, _check_block, _encrypt_amps, _inverse_probs, encrypt_block
 from .errors import InputError, ResourceError
 from .keyschedule import CipherKey, CompiledCircuit, compile_circuit, enumerate_keys, key_circuit, keyspace_size
 from .keyschedule import _MAX_COUNT_LOG2, _check_count
-from .statevector import StateVector, fidelity, index_to_bits
+from .statevector import StateVector, _born, fidelity, index_to_bits
 
 BRUTE_FORCE_CAP = 10**6
 # Largest ``samples`` of ``marginal_estimation_attack``: its draws are one
@@ -34,6 +34,9 @@ SAMPLES_CAP = 10**7
 # (``qcipher attack --kind intercept --trials``, ``qcipher analyze --kind
 # rules --trials``).
 TRIALS_CAP = 10**5
+# Largest ``trials * r`` of ``detection_experiment``, whose copies each make
+# two draws in Python (``qcipher attack --kind intercept --trials --r``).
+COPIES_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -65,6 +68,16 @@ class AttackReport:
             "params": {k: _clean(v) for k, v in self.params.items()},
         }
         return json.dumps(obj)
+
+
+def _check_count_arg(value: int, cap: int, what: str) -> None:
+    """The one check of a count argument: InputError below 1, ResourceError
+    above ``cap``, both before any work. The value is not printed: a product
+    such as ``trials * r`` can pass the 4,300 digits Python prints."""
+    if value < 1:
+        raise InputError(f"{what} must be >= 1")
+    if value > cap:
+        raise ResourceError(f"{what} exceed the cap of {cap}")
 
 
 def _ci_half_width(successes: int, trials: int) -> float:
@@ -112,10 +125,8 @@ def detection_experiment(
     """
     if r < 1:
         raise InputError("repetitions must be >= 1")
-    if trials < 1:
-        raise InputError("trials must be >= 1")
-    if trials > TRIALS_CAP:
-        raise ResourceError(f"{trials} trials exceed the {TRIALS_CAP}-trial cap")
+    _check_count_arg(trials, TRIALS_CAP, "trials")
+    _check_count_arg(trials * r, COPIES_CAP, "copies")
     ciphertext = encrypt_block(k, p).state
     collision = collision_probability(ciphertext)
     cc = compile_circuit(key_circuit(k), k.n)
@@ -124,8 +135,7 @@ def detection_experiment(
     # Each copy is two draws. Eve's draw is measure_all's on the ciphertext;
     # the receiver's depends only on her outcome, so each outcome's read
     # distribution is computed once.
-    eve_probs = np.abs(ciphertext.amps) ** 2
-    eve_probs /= eve_probs.sum()
+    eve_probs = _born(ciphertext.amps)
     reads: dict[int, np.ndarray] = {}
     honest_probs = _read_probs(cc, ciphertext.amps)
 
@@ -192,15 +202,10 @@ def marginal_estimation_attack(
     attacker who knows A^-1 undoes the CNOTs on each sample and reads the
     rotation layer as in the ablation.
     """
-    if samples < 1:
-        raise InputError("samples must be >= 1")
-    if samples > SAMPLES_CAP:
-        raise ResourceError(f"{samples} samples exceed the {SAMPLES_CAP}-sample cap")
-    if p.n != k.n:
-        raise InputError(f"plaintext length {p.n} does not match key block size {k.n}")
+    _check_count_arg(samples, SAMPLES_CAP, "samples")
+    _check_block(k, p)
     cc = compile_circuit(key_circuit(k, through_step=1 if step1_only else 4), k.n)
-    probs = np.abs(_encrypt_amps(cc, p.bits)) ** 2
-    probs /= probs.sum()
+    probs = _born(_encrypt_amps(cc, p.bits))
     draws = rng.choice(probs.size, size=samples, p=probs)
     estimates = np.empty(k.n)
     for q in range(1, k.n + 1):

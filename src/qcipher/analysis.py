@@ -33,9 +33,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adversary import TRIALS_CAP
-from .cipher import PlainBlock, _encrypt_amps, xor_bits
-from .errors import InputError, ResourceError
+from .adversary import TRIALS_CAP, _check_count_arg
+from .cipher import PlainBlock, _check_block, _encrypt_amps, xor_bits
+from .errors import InputError
 from .keyschedule import (
     CipherKey,
     Cnot,
@@ -202,8 +202,7 @@ def numeric_dependence_matrix(
     whole encryption on the compiled circuit with one angle swapped.
     """
     _check_probe(epsilon, grid)
-    if p.n != k.n:
-        raise InputError(f"plaintext length {p.n} does not match key block size {k.n}")
+    _check_block(k, p)
     cc = compile_circuit(key_circuit(k, through_step), k.n)
     alternates = [
         [grid_angle(alt, k.N) for alt in perturbation_indices(index, k.N, grid)]
@@ -235,8 +234,7 @@ def diffusion_profile(
     ``qcipher analyze --kind diffusion`` exits 1 for them.
     """
     _check_probe(epsilon)
-    if p.n != k.n:
-        raise InputError(f"plaintext length {p.n} does not match key block size {k.n}")
+    _check_block(k, p)
     cc = compile_circuit(key_circuit(k, through_step), k.n)
     base = _marginals(cc, p.bits)
     change = np.zeros((k.n, k.n), dtype=bool)
@@ -328,10 +326,7 @@ def verify_dependence_rules(
     """
     if not 2 <= n <= 6:
         raise InputError("verify_dependence_rules supports 2 <= n <= 6")
-    if trials < 1:
-        raise InputError("trials must be >= 1")
-    if trials > TRIALS_CAP:
-        raise ResourceError(f"{trials} trials exceed the {TRIALS_CAP}-trial cap")
+    _check_count_arg(trials, TRIALS_CAP, "trials")
     _check_probe(epsilon, grid)
     offsets = [2.0 * math.pi * t / (grid + 1) for t in range(1, grid + 1)]
     locality: list[str] = []

@@ -76,6 +76,15 @@ def _basis_indices(cols: tuple[int, ...]) -> np.ndarray:
     return idx
 
 
+def _unmix(cols: tuple[int, ...]) -> np.ndarray:
+    """``inv[y] = A^-1 y`` for every basis index y: the inverse permutation
+    of ``_basis_indices``, by one scatter."""
+    idx = _basis_indices(cols)
+    inv = np.empty_like(idx)
+    inv[idx] = np.arange(idx.size)
+    return inv
+
+
 def _pairing_map(n: int, pairing: tuple[int, ...]) -> np.ndarray:
     """``pi[y]``: the mask mode 2's pairing CNOTs XOR into the next block when
     the previous ciphertext is basis index y (bit q of y lands on bit
@@ -120,10 +129,7 @@ def _encrypt_table(cc: CompiledCircuit) -> np.ndarray:
     one gather by the inverse of A (at n = 12 a quarter of the time of a
     column scatter through A). The table is real orthogonal: its transpose
     is the circuit's unitary."""
-    idx = _basis_indices(cc.cols)
-    inv = np.empty_like(idx)
-    inv[idx] = np.arange(idx.size)
-    return np.take(_kron(cc.thetas), inv, axis=1)
+    return np.take(_kron(cc.thetas), _unmix(cc.cols), axis=1)
 
 
 def _inverse(cc: CompiledCircuit, part: np.ndarray, m: int = 1, pairing: tuple[int, ...] = ()) -> np.ndarray:
@@ -173,10 +179,15 @@ def _inverse_probs(cc: CompiledCircuit, amps: np.ndarray, m: int = 1, pairing: t
     return probs
 
 
-def encrypt_block(k: CipherKey, p: PlainBlock) -> CipherBlock:
-    """Run the full key circuit on the encoded plaintext (deterministic)."""
+def _check_block(k: CipherKey, p: PlainBlock) -> None:
+    """The one check of a plaintext block against the key's block size."""
     if p.n != k.n:
         raise InputError(f"plaintext length {p.n} does not match key block size {k.n}")
+
+
+def encrypt_block(k: CipherKey, p: PlainBlock) -> CipherBlock:
+    """Run the full key circuit on the encoded plaintext (deterministic)."""
+    _check_block(k, p)
     amps = _encrypt_amps(compile_circuit(key_circuit(k), k.n), p.bits)
     return CipherBlock(_owned(k.n, amps))
 

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
 
-from .errors import InputError, InvalidKeyError, ResourceError
+from .errors import CipherError, InputError, InvalidKeyError, ResourceError
 from .statevector import MAX_QUBITS
 
 KEY_FORMAT_VERSION = 1
@@ -65,15 +65,35 @@ def paired_downstream_qubits(n: int) -> tuple[int, ...]:
     return ds if n % 2 == 0 else ds[1:]
 
 
-def _as_int_tuple(values: object, name: str) -> tuple[int, ...]:
+def _as_int_tuple(values: object, name: str, error: type[CipherError] = InvalidKeyError) -> tuple[int, ...]:
     # Strict: a float or a bool is rejected, never truncated to an integer.
     try:
         items = tuple(values)  # type: ignore[arg-type]
     except TypeError as exc:
-        raise InvalidKeyError(f"{name} must be a sequence of integers") from exc
+        raise error(f"{name} must be a sequence of integers") from exc
     if any(not isinstance(v, (int, np.integer)) or isinstance(v, bool) for v in items):
-        raise InvalidKeyError(f"{name} must be a sequence of integers")
+        raise error(f"{name} must be a sequence of integers")
     return tuple(int(v) for v in items)
+
+
+def _permutation(values: object, n: int, name: str, error: type[CipherError]) -> tuple[int, ...]:
+    """``values`` as a tuple of ints that permutes 1..n, or ``error``:
+    InvalidKeyError for a key's field, InputError for a ``ModeConfig``'s."""
+    perm = _as_int_tuple(values, name, error)
+    if sorted(perm) != list(range(1, n + 1)):
+        raise error(f"{name} must be a permutation of 1..{n}")
+    return perm
+
+
+def _check_sizes(n: object, N: object, error: type[CipherError]) -> None:
+    """The key's block size n and grid size N, or ``error``: InvalidKeyError
+    for a key, InputError for the arguments of ``generate_key``."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+        raise error(f"block size n must be an integer >= 2, got {n!r}")
+    if n > MAX_QUBITS:
+        raise error(f"block size {n} exceeds the {MAX_QUBITS}-qubit cap")
+    if not isinstance(N, int) or isinstance(N, bool) or N < 2:
+        raise error(f"grid size N must be an integer >= 2, got {N!r}")
 
 
 @dataclass(frozen=True)
@@ -89,12 +109,7 @@ class CipherKey:
     version: int = KEY_FORMAT_VERSION
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 2:
-            raise InvalidKeyError(f"block size n must be an integer >= 2, got {self.n!r}")
-        if self.n > MAX_QUBITS:
-            raise InvalidKeyError(f"block size {self.n} exceeds the {MAX_QUBITS}-qubit cap")
-        if not isinstance(self.N, int) or isinstance(self.N, bool) or self.N < 2:
-            raise InvalidKeyError(f"grid size N must be an integer >= 2, got {self.N!r}")
+        _check_sizes(self.n, self.N, InvalidKeyError)
         # Strict: True and 1.0 equal 1, but key_to_json would write them as is.
         if type(self.version) is not int or self.version != KEY_FORMAT_VERSION:
             raise InvalidKeyError(f"unsupported key version {self.version!r}")
@@ -130,15 +145,11 @@ class CipherKey:
             raise InvalidKeyError("step3_pairs must map onto the upstream qubits bijectively")
         object.__setattr__(self, "step3_pairs", pairs)
 
-        order = _as_int_tuple(self.step4_upstream_order, "step4_upstream_order")
-        if sorted(order) != list(upstream_qubits(self.n)):
-            raise InvalidKeyError("step4_upstream_order must be a permutation of the upstream qubits")
+        # The upstream qubits are 1..n//2.
+        order = _permutation(self.step4_upstream_order, self.n // 2, "step4_upstream_order", InvalidKeyError)
         object.__setattr__(self, "step4_upstream_order", order)
-
         if self.mode2_pairing is not None:
-            pairing = _as_int_tuple(self.mode2_pairing, "mode2_pairing")
-            if sorted(pairing) != list(range(1, self.n + 1)):
-                raise InvalidKeyError("mode2_pairing must be a permutation of 1..n")
+            pairing = _permutation(self.mode2_pairing, self.n, "mode2_pairing", InvalidKeyError)
             object.__setattr__(self, "mode2_pairing", pairing)
 
 
@@ -176,12 +187,7 @@ def generate_key(n: int, N: int, rng: np.random.Generator) -> CipherKey:
     resampled, unless the whole grid is degenerate (e.g. N = 4), in which
     case the raw draw is kept so that such grids remain usable.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise InputError(f"block size n must be an integer >= 2, got {n!r}")
-    if n > MAX_QUBITS:
-        raise InputError(f"block size {n} exceeds the {MAX_QUBITS}-qubit cap")
-    if not isinstance(N, int) or isinstance(N, bool) or N < 2:
-        raise InputError(f"grid size N must be an integer >= 2, got {N!r}")
+    _check_sizes(n, N, InputError)
     if N > 2**63:
         raise InputError("grid size N must be at most 2**63, the range of numpy's integer draws")
 

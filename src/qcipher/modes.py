@@ -25,6 +25,7 @@ vector that is stored with the key material, never with the transmission.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -34,20 +35,20 @@ from .cipher import (
     PURITY_TOL,
     CipherBlock,
     PlainBlock,
-    _basis_indices,
     _encrypt_amps,
     _encrypt_table,
     _inverse_probs,
     _pairing_map,
     _read_basis_probs,
+    _unmix,
     cipherblock_from_obj,
     cipherblock_to_json,
     encrypt_block,
     xor_bits,
 )
-from .errors import InputError, ResourceError
-from .keyschedule import CipherKey, CompiledCircuit, compile_circuit, key_circuit
-from .statevector import MAX_QUBITS, StateVector, _check_bits, _load_json, _owned, index_to_bits, measure_all
+from .errors import InputError
+from .keyschedule import CipherKey, CompiledCircuit, _permutation, compile_circuit, key_circuit
+from .statevector import StateVector, _check_bits, _check_n, _load_json, _owned, index_to_bits, measure_all
 
 
 class Mode(str, Enum):
@@ -73,22 +74,13 @@ class ModeConfig:
         if not isinstance(self.mode, Mode):
             raise InputError(f"mode must be a Mode value, got {self.mode!r}")
         _check_bits(self.iv, "iv")
-        n = len(self.iv)
         if self.mode is Mode.MEASURED:
             if self.mode2_pairing is not None:
                 raise InputError("mode2_pairing is only valid for the entangling mode")
             return
-        pairing = self.mode2_pairing
-        if pairing is None:
-            pairing = tuple(range(1, n + 1))
-        else:
-            # Strict: a float or a bool is rejected, never truncated.
-            if any(not isinstance(v, (int, np.integer)) or isinstance(v, bool) for v in pairing):
-                raise InputError("mode2_pairing must be a sequence of integers")
-            pairing = tuple(int(v) for v in pairing)
-            if sorted(pairing) != list(range(1, n + 1)):
-                raise InputError("mode2_pairing must be a permutation of 1..n")
-        object.__setattr__(self, "mode2_pairing", pairing)
+        # The key's check of its own mode2_pairing, raising InputError.
+        pairing = range(1, self.n + 1) if self.mode2_pairing is None else self.mode2_pairing
+        object.__setattr__(self, "mode2_pairing", _permutation(pairing, self.n, "mode2_pairing", InputError))
 
     @property
     def n(self) -> int:
@@ -118,15 +110,23 @@ class Transmission:
             if self.blocks or self.iv_carriers:
                 raise InputError("entangling transmissions carry a single joint register")
             if self.m > 0:
-                if self.m * self.n > MAX_QUBITS:
-                    raise ResourceError(
-                        f"joint register of {self.m * self.n} qubits exceeds the {MAX_QUBITS}-qubit cap"
-                    )
+                _check_n(self.m * self.n)
                 if self.joint is None or self.joint.n != self.m * self.n:
                     raise InputError(f"joint register must hold exactly {self.m * self.n} qubits")
 
 
-def _check_blocks(k: CipherKey, blocks: list[PlainBlock]) -> None:
+def _check_mode(
+    k: CipherKey, cfg: ModeConfig, mode: Mode, blocks: Sequence[PlainBlock] = (), t: Transmission | None = None
+) -> None:
+    """The one agreement check of a mode function's arguments: the config,
+    and the transmission if given, are in ``mode``, and the IV, the
+    transmission and every plaintext block have the key's block size."""
+    if cfg.mode is not mode or (t is not None and t.mode is not mode):
+        raise InputError(f"mode {mode.value} got a config or transmission of another mode")
+    if cfg.n != k.n:
+        raise InputError(f"iv length {cfg.n} does not match key block size {k.n}")
+    if t is not None and t.n != k.n:
+        raise InputError(f"transmission block size {t.n} does not match key block size {k.n}")
     for i, p in enumerate(blocks):
         if p.n != k.n:
             raise InputError(f"block {i} has {p.n} bits, key expects {k.n}")
@@ -146,11 +146,7 @@ def mode1_encrypt(
     become the next chaining value and the collapsed copy ships as the IV
     carrier.
     """
-    if cfg.mode is not Mode.MEASURED:
-        raise InputError("mode1_encrypt requires a measured-IV config")
-    if cfg.n != k.n:
-        raise InputError(f"iv length {cfg.n} does not match key block size {k.n}")
-    _check_blocks(k, blocks)
+    _check_mode(k, cfg, Mode.MEASURED, blocks)
     iv = cfg.iv
     out: list[CipherBlock] = []
     carriers: list[StateVector] = []
@@ -165,10 +161,7 @@ def mode1_encrypt(
 
 def mode1_decrypt(k: CipherKey, t: Transmission, cfg: ModeConfig) -> list[PlainBlock]:
     """Invert the measured-IV chain; IV carriers must be basis states."""
-    if t.mode is not Mode.MEASURED:
-        raise InputError("mode1_decrypt requires a measured-IV transmission")
-    if cfg.mode is not Mode.MEASURED or cfg.n != k.n or t.n != k.n:
-        raise InputError("config, key, and transmission block sizes must agree")
+    _check_mode(k, cfg, Mode.MEASURED, t=t)
     cc = compile_circuit(key_circuit(k), k.n)
     iv = cfg.iv
     out: list[PlainBlock] = []
@@ -189,18 +182,11 @@ def mode2_encrypt(k: CipherKey, blocks: list[PlainBlock], cfg: ModeConfig) -> Tr
     is the block cipher's output; each later one costs one row gather from
     T and one broadcast multiply.
     """
-    if cfg.mode is not Mode.ENTANGLING:
-        raise InputError("mode2_encrypt requires an entangling-mode config")
-    if cfg.n != k.n:
-        raise InputError(f"iv length {cfg.n} does not match key block size {k.n}")
-    _check_blocks(k, blocks)
+    _check_mode(k, cfg, Mode.ENTANGLING, blocks)
     m = len(blocks)
     if m == 0:
         return Transmission(Mode.ENTANGLING, k.n, 0)
-    if m * k.n > MAX_QUBITS:
-        raise ResourceError(
-            f"joint register of {m * k.n} qubits exceeds the {MAX_QUBITS}-qubit cap"
-        )
+    _check_n(m * k.n)
     cc = compile_circuit(key_circuit(k), k.n)
     amps = _encrypt_amps(cc, xor_bits(blocks[0].bits, cfg.iv))
     for p in blocks[1:]:
@@ -255,7 +241,7 @@ def _mode2_read(cc: CompiledCircuit, amps: np.ndarray, m: int, pairing: tuple[in
     # m >= 2 means n <= 12 under the cap, so T, pi and A^-1 fit.
     table = _encrypt_table(cc)
     pi = _pairing_map(n, pairing)
-    unmix = np.argsort(_basis_indices(cc.cols))
+    unmix = _unmix(cc.cols)
     flip = int("".join("1" if abs(math.sin(t)) > abs(math.cos(t)) else "0" for t in cc.thetas), 2)
     top = _argmax_abs(amps)
     ys = [top >> (n * (m - 1 - i)) & (size - 1) for i in range(m)]
@@ -298,10 +284,7 @@ def mode2_decrypt(k: CipherKey, t: Transmission, cfg: ModeConfig) -> list[PlainB
     ``decrypt_block`` and mode 1 do: there the check costs a scatter of 2^n
     amplitudes, which at n = 18 measured slower than the grouped inverse.
     """
-    if t.mode is not Mode.ENTANGLING:
-        raise InputError("mode2_decrypt requires an entangling-mode transmission")
-    if cfg.mode is not Mode.ENTANGLING or cfg.n != k.n or t.n != k.n:
-        raise InputError("config, key, and transmission block sizes must agree")
+    _check_mode(k, cfg, Mode.ENTANGLING, t=t)
     if t.m == 0:
         return []
     n, m, pairing = k.n, t.m, cfg.mode2_pairing

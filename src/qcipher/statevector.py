@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, IntegrityError, ResourceError
+from .errors import CipherError, InputError, IntegrityError, ResourceError
 
 MAX_QUBITS = 24
 NORM_TOL = 1e-9
@@ -51,6 +51,7 @@ class StateVector:
 
 
 def _check_n(n: object) -> None:
+    """The one qubit-count check: an integer in 1..MAX_QUBITS."""
     if not isinstance(n, int) or isinstance(n, bool):
         raise InputError("qubit count must be an integer")
     if n < 1:
@@ -59,8 +60,11 @@ def _check_n(n: object) -> None:
         raise ResourceError(f"qubit count {n} exceeds the {MAX_QUBITS}-qubit cap")
 
 
-def _seal(s: StateVector, amps: np.ndarray) -> None:
-    """Check the shape and norm of ``amps``, freeze it and store it in ``s``."""
+def _seal(s: StateVector, amps: np.ndarray, bad_norm: type[CipherError] = InputError) -> None:
+    """Check the shape and norm of ``amps``, freeze it and store it in ``s``.
+    A bad norm raises ``bad_norm``: InputError for amplitudes given in code,
+    IntegrityError for amplitudes read from a file, where a well-formed but
+    non-normalized or non-finite payload is treated as corruption."""
     amps = amps.reshape(-1)
     if amps.shape != (1 << s.n,):
         raise InputError(f"expected {1 << s.n} amplitudes, got {amps.shape[0]}")
@@ -69,19 +73,20 @@ def _seal(s: StateVector, amps: np.ndarray) -> None:
     # as a failure).
     norm = float(np.vdot(amps, amps).real)
     if not abs(norm - 1.0) <= NORM_TOL:
-        raise InputError(f"squared norm {norm!r} deviates from 1 beyond {NORM_TOL}")
+        raise bad_norm(f"squared norm {norm!r} deviates from 1 beyond {NORM_TOL}")
     amps.flags.writeable = False
     object.__setattr__(s, "amps", amps)
 
 
-def _owned(n: int, amps: np.ndarray) -> StateVector:
+def _owned(n: int, amps: np.ndarray, bad_norm: type[CipherError] = InputError) -> StateVector:
     """A StateVector that takes ``amps`` as its buffer instead of copying it:
     for a float64 or complex128 array the package has just built and keeps
-    no other reference to. Every check of the constructor runs."""
+    no other reference to. Every check of the constructor runs; a bad norm
+    raises ``bad_norm`` (see ``_seal``)."""
     _check_n(n)
     s = object.__new__(StateVector)
     object.__setattr__(s, "n", n)
-    _seal(s, amps)
+    _seal(s, amps, bad_norm)
     return s
 
 
@@ -114,8 +119,7 @@ def basis_state(n: int, bits: str) -> StateVector:
     _check_bits(bits)
     if len(bits) != n:
         raise InputError(f"bitstring length {len(bits)} does not match n={n}")
-    if n > MAX_QUBITS:
-        raise ResourceError(f"qubit count {n} exceeds the {MAX_QUBITS}-qubit cap")
+    _check_n(n)
     amps = np.zeros(1 << n)
     amps[int(bits, 2)] = 1.0
     return _owned(n, amps)
@@ -176,14 +180,21 @@ def marginals(s: StateVector) -> np.ndarray:
     return _marginals_of(s.amps, s.n)
 
 
+def _born(amps: np.ndarray) -> np.ndarray:
+    """The Born-rule distribution of ``amps``: |a|^2, normalized. Every
+    sampled measurement of the package draws from this array."""
+    probs = np.abs(amps) ** 2
+    probs /= probs.sum()
+    return probs
+
+
 def measure_all(s: StateVector, rng: np.random.Generator) -> MeasurementOutcome:
     """Sample a full computational-basis measurement (Born rule).
 
     Deterministic for a given generator state; the collapsed state is the
     basis state of the sampled bitstring.
     """
-    probs = np.abs(s.amps) ** 2
-    probs /= probs.sum()
+    probs = _born(s.amps)
     index = int(rng.choice(probs.size, p=probs))
     bits = index_to_bits(index, s.n)
     return MeasurementOutcome(bits, basis_state(s.n, bits))
@@ -191,8 +202,7 @@ def measure_all(s: StateVector, rng: np.random.Generator) -> MeasurementOutcome:
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Joint state with ``a``'s qubits first (most significant)."""
-    if a.n + b.n > MAX_QUBITS:
-        raise ResourceError(f"joint register of {a.n + b.n} qubits exceeds the {MAX_QUBITS}-qubit cap")
+    _check_n(a.n + b.n)
     return _owned(a.n + b.n, np.kron(a.amps, b.amps))
 
 
@@ -363,21 +373,10 @@ def _load_json(text: str, what: str) -> object:
 
 
 def _state_from_fields(n: object, amps_field: object) -> StateVector:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise InputError('statevector field "n" must be an integer')
-    if n < 1:
-        raise InputError(f'statevector field "n" must be >= 1, got {n}')
-    if n > MAX_QUBITS:
-        raise ResourceError(f"statevector of {n} qubits exceeds the {MAX_QUBITS}-qubit cap")
+    _check_n(n)  # before 1 << n is formed
     if not isinstance(amps_field, _Amps) or amps_field.pairs() != 1 << n:
         raise InputError(f'statevector field "amps" must be an array of {1 << n} [re, im] number pairs')
-    amps = amps_field.values()
-    norm = float(np.vdot(amps, amps).real)
-    if not abs(norm - 1.0) <= NORM_TOL:
-        # Well-formed but non-normalized or non-finite payloads are treated
-        # as corruption.
-        raise IntegrityError(f"statevector payload norm {norm!r} deviates from 1")
-    return _owned(n, amps)
+    return _owned(n, amps_field.values(), IntegrityError)
 
 
 def state_from_json(text: str) -> StateVector:

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import transmission_from_json_oracle
-from qcipher.adversary import SAMPLES_CAP, TRIALS_CAP
+from qcipher.adversary import COPIES_CAP, SAMPLES_CAP, TRIALS_CAP
 from qcipher.cipher import CipherBlock
 from qcipher.cli import _bits_to_bytes, _mode_config, main
 from qcipher.errors import CipherError, IntegrityError, ResourceError
@@ -251,9 +251,14 @@ def test_attack_stats_full_circuit_fails(keyfile, capsys):
         (["attack", "--kind", "stats", "--samples", "10" * 2000], 3),
         (["attack", "--kind", "intercept", "--trials", str(TRIALS_CAP + 1)], 3),
         (["attack", "--kind", "intercept", "--trials", "10" * 2000], 3),
+        # Over the cap on trials * r, refused before the first copy: with no
+        # cap the first row loops for hours.
+        (["attack", "--kind", "intercept", "--r", "1000000000", "--trials", "1"], 3),
+        (["attack", "--kind", "intercept", "--r", str(COPIES_CAP + 1), "--trials", "1"], 3),
+        (["attack", "--kind", "intercept", "--r", "10" * 2000, "--trials", str(TRIALS_CAP)], 3),
     ],
     ids=["attack-bounds", "keyspace", "keygen", "attack-stats",
-         "samples", "samples-huge", "trials", "trials-huge"],
+         "samples", "samples-huge", "trials", "trials-huge", "copies", "copies-past-cap", "copies-huge"],
 )
 def test_oversized_integer_options_exit_with_their_prefix(tmp_path, capsys, argv, code):
     assert main([a.format(tmp=tmp_path) for a in argv]) == code

@@ -26,6 +26,7 @@ from qcipher.cipher import (
     _inverse_probs,
     _kron,
     _read_basis_probs,
+    _unmix,
     decrypt_block,
     encrypt_block,
 )
@@ -104,6 +105,16 @@ def test_basis_indices_of_a_key_is_a_permutation(n):
     k = generate_key(n, 256, np.random.default_rng(950 + n))
     idx = _basis_indices(compile_circuit(key_circuit(k), n).cols)
     assert np.array_equal(np.sort(idx), np.arange(1 << n))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_unmix_is_argsort_of_basis_indices(n):
+    # _encrypt_table and mode 2's guess share this one inverse of A.
+    rng = np.random.default_rng(970 + n)
+    circuits = [[SingleU(1, 0.3)]] if n == 1 else [key_circuit(generate_key(n, 256, rng)) for _ in range(3)]
+    for ops in circuits:
+        cols = compile_circuit(ops, n).cols
+        assert np.array_equal(_unmix(cols), np.argsort(_basis_indices(cols)))
 
 
 @pytest.mark.parametrize("n", range(2, 13))

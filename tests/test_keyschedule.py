@@ -82,6 +82,23 @@ def test_generate_key_input_validation():
         generate_key(4, 1, rng)
 
 
+@pytest.mark.parametrize(
+    "n, N", [(1, 4), (25, 4), (True, 4), (2.0, 4), ("4", 4), (4, 1), (4, True), (4, 4.0), (4, None)]
+)
+def test_bad_sizes_raise_one_class_per_entry_point(n, N):
+    # One check serves both: InputError for generate_key's arguments, before
+    # any draw, and InvalidKeyError for a key.
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(CipherError) as info:
+        generate_key(n, N, rng)
+    assert info.type is InputError
+    assert rng.bit_generator.state == before
+    with pytest.raises(CipherError) as info:
+        CipherKey(n, N, (0, 0), ((2, 1),), (1,))
+    assert info.type is InvalidKeyError
+
+
 def test_generate_key_grid_fits_numpy_draws():
     # numpy draws angle indices as int64, so N = 2**63 is the largest grid.
     assert generate_key(2, 2**63, np.random.default_rng(0)).N == 2**63

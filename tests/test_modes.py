@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -227,6 +228,47 @@ def test_mode_mismatch_errors():
         mode2_decrypt(k, t, cfg2)
 
 
+@pytest.fixture(scope="module")
+def mode_args():
+    """A 6-qubit key with configs and transmissions of both modes that agree
+    with it, and 5-qubit ones that do not."""
+    k, k5 = key6(18), generate_key(5, 256, np.random.default_rng(18))
+    rng = np.random.default_rng(0)
+    cfg = {m: ModeConfig(m, "000000") for m in Mode}
+    short = {m: ModeConfig(m, "00000") for m in Mode}
+    six, five = blocks_of("000000"), blocks_of("00000")
+    return SimpleNamespace(
+        k=k, rng=rng, cfg=cfg, short=short, six=six, five=five,
+        t={m: encrypt(k, six, cfg[m], rng) for m in Mode},
+        t5={m: encrypt(k5, five, short[m], rng) for m in Mode},
+    )
+
+
+M1, M2 = Mode.MEASURED, Mode.ENTANGLING
+MODE_DISAGREEMENTS = {
+    "m1-encrypt-config-mode": lambda a: mode1_encrypt(a.k, a.six, a.cfg[M2], a.rng),
+    "m1-encrypt-iv": lambda a: mode1_encrypt(a.k, a.six, a.short[M1], a.rng),
+    "m1-encrypt-block": lambda a: mode1_encrypt(a.k, a.five, a.cfg[M1], a.rng),
+    "m1-decrypt-config-mode": lambda a: mode1_decrypt(a.k, a.t[M1], a.cfg[M2]),
+    "m1-decrypt-transmission-mode": lambda a: mode1_decrypt(a.k, a.t[M2], a.cfg[M1]),
+    "m1-decrypt-iv": lambda a: mode1_decrypt(a.k, a.t[M1], a.short[M1]),
+    "m1-decrypt-block": lambda a: mode1_decrypt(a.k, a.t5[M1], a.cfg[M1]),
+    "m2-encrypt-config-mode": lambda a: mode2_encrypt(a.k, a.six, a.cfg[M1]),
+    "m2-encrypt-iv": lambda a: mode2_encrypt(a.k, a.six, a.short[M2]),
+    "m2-encrypt-block": lambda a: mode2_encrypt(a.k, a.five, a.cfg[M2]),
+    "m2-decrypt-config-mode": lambda a: mode2_decrypt(a.k, a.t[M2], a.cfg[M1]),
+    "m2-decrypt-transmission-mode": lambda a: mode2_decrypt(a.k, a.t[M1], a.cfg[M2]),
+    "m2-decrypt-iv": lambda a: mode2_decrypt(a.k, a.t[M2], a.short[M2]),
+    "m2-decrypt-block": lambda a: mode2_decrypt(a.k, a.t5[M2], a.cfg[M2]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODE_DISAGREEMENTS))
+def test_mode_functions_reject_disagreeing_arguments(mode_args, case):
+    with pytest.raises(InputError):
+        MODE_DISAGREEMENTS[case](mode_args)
+
+
 # --- transmission files ----------------------------------------------------
 
 def test_transmission_json_round_trip_mode1():
@@ -326,8 +368,9 @@ def test_mode1_encrypts_each_block_once(monkeypatch):
         iv = outcome.bits
 
 
-@pytest.mark.parametrize("pairing", [(2.7, True), (2.0, 1), (2, 1.0), (True, 2), (2, np.bool_(True))])
+@pytest.mark.parametrize("pairing", [(2.7, True), (2.0, 1), (2, 1.0), (True, 2), (2, np.bool_(True)), 5, object()])
 def test_mode_config_rejects_float_and_bool_pairing(pairing):
+    # A pairing that is no sequence at all, 5 or object(), is InputError too.
     with pytest.raises(InputError):
         ModeConfig(Mode.ENTANGLING, "01", pairing)
 

@@ -334,6 +334,60 @@ def test_state_json_norm_violation_is_integrity_error():
         state_from_json('{"n": 1, "amps": [[0.7, 0], [0.1, 0]]}')
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ('{"n": true, "amps": [[1, 0], [0, 0]]}', InputError),
+        ('{"n": 0, "amps": [[1, 0]]}', InputError),
+        ('{"n": 25, "amps": [[1, 0], [0, 0]]}', ResourceError),
+        ('{"n": 1, "amps": [[0.7, 0], [0.1, 0]]}', IntegrityError),
+    ],
+    ids=["n-true", "n-0", "n-25", "norm"],
+)
+def test_state_json_raises_one_class_per_rule(text, error):
+    # The qubit count goes through _check_n as in code; only the norm is
+    # read as corruption of the file.
+    with pytest.raises(CipherError) as info:
+        state_from_json(text)
+    assert info.type is error
+
+
+def test_state_json_reads_the_norm_once(monkeypatch):
+    text = state_to_json(random_state(4, np.random.default_rng(21)))
+    calls = []
+    vdot = np.vdot
+
+    def counting(a, b):
+        calls.append(a.size)
+        return vdot(a, b)
+
+    monkeypatch.setattr(np, "vdot", counting)
+    state_from_json(text)
+    assert calls == [16]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: StateVector(25, np.zeros(2)),
+        lambda: basis_state(25, "0" * 25),
+        lambda: tensor(basis_state(13, "0" * 13), basis_state(12, "0" * 12)),
+        lambda: mode2_encrypt(
+            generate_key(5, 16, np.random.default_rng(0)),
+            [PlainBlock("01010")] * 5,
+            ModeConfig(Mode.ENTANGLING, "00000"),
+        ),
+        lambda: Transmission(Mode.ENTANGLING, 5, 5),
+    ],
+    ids=["StateVector", "basis_state", "tensor", "mode2_encrypt", "Transmission"],
+)
+def test_past_the_qubit_cap_is_one_resource_error(build):
+    # Every entry point refuses a 25-qubit register through the one check,
+    # statevector._check_n, before it allocates the register.
+    with pytest.raises(ResourceError, match="^qubit count 25 exceeds the 24-qubit cap$"):
+        build()
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_statevector_rejects_non_finite_amplitudes(bad):
     # In a real array, and in either part of a complex one.
