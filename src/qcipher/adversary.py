@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cipher import CipherBlock, PlainBlock, _check_block, _encrypt_amps, _inverse_probs, encrypt_block
+from .cipher import CipherBlock, PlainBlock, _check_block, _check_width, _encrypt_amps, _inverse_probs, encrypt_block
 from .errors import InputError, ResourceError
 from .keyschedule import CipherKey, CompiledCircuit, compile_circuit, enumerate_keys, key_circuit, keyspace_size
 from .keyschedule import _MAX_COUNT_LOG2, _check_count
@@ -81,11 +81,13 @@ def _check_count_arg(value: int, cap: int, what: str) -> None:
 
 
 def _ci_half_width(successes: int, trials: int) -> float:
-    # Normal-approximation 95% binomial half-width.
-    if trials == 0:
-        return 0.0
+    """Half the width of the 95% Wilson score interval for ``successes`` of
+    ``trials`` >= 1 (Wilson 1927). Unlike the Wald interval it is not empty
+    at a rate of 0 or 1; it is centred at (successes + z^2/2) / (trials +
+    z^2), which lies between the rate and 1/2."""
+    z2 = 1.96**2
     p = successes / trials
-    return 1.96 * math.sqrt(p * (1.0 - p) / trials)
+    return math.sqrt(z2 * p * (1.0 - p) / trials + z2 * z2 / (4 * trials * trials)) / (1.0 + z2 / trials)
 
 
 def collision_probability(s: StateVector) -> float:
@@ -103,8 +105,7 @@ def _read_probs(cc: CompiledCircuit, amps: np.ndarray) -> np.ndarray:
 
 def sampled_decrypt_bits(k: CipherKey, state: StateVector, rng: np.random.Generator) -> str:
     """The receiver's physical read: inverse circuit, then one measurement."""
-    if state.n != k.n:
-        raise InputError(f"state has {state.n} qubits, key expects {k.n}")
+    _check_width(k.n, state)
     probs = _read_probs(compile_circuit(key_circuit(k), k.n), state.amps)
     return index_to_bits(int(rng.choice(probs.size, p=probs)), k.n)
 
@@ -232,8 +233,9 @@ def brute_force_key_recovery(
     if size > BRUTE_FORCE_CAP:
         raise ResourceError(f"keyspace of {size} keys exceeds the {BRUTE_FORCE_CAP} enumeration cap")
     plaintext, ciphertext = known
-    if plaintext.n != n or ciphertext.state.n != n:
-        raise InputError("known pair must match the key block size")
+    if plaintext.n != n:
+        raise InputError(f"plaintext length {plaintext.n} does not match key block size {n}")
+    _check_width(n, ciphertext.state)
     consistent = []
     for key in enumerate_keys(n, N):
         candidate = encrypt_block(key, plaintext).state

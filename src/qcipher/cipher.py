@@ -185,6 +185,12 @@ def _check_block(k: CipherKey, p: PlainBlock) -> None:
         raise InputError(f"plaintext length {p.n} does not match key block size {k.n}")
 
 
+def _check_width(n: int, state: StateVector) -> None:
+    """The one check of a ciphertext's qubit count against the key's."""
+    if state.n != n:
+        raise InputError(f"ciphertext has {state.n} qubits, key expects {n}")
+
+
 def encrypt_block(k: CipherKey, p: PlainBlock) -> CipherBlock:
     """Run the full key circuit on the encoded plaintext (deterministic)."""
     _check_block(k, p)
@@ -205,17 +211,100 @@ def _read_basis_probs(probs: np.ndarray, n: int, what: str) -> str:
     return index_to_bits(index, n)
 
 
-def decrypt_block(k: CipherKey, c: CipherBlock) -> PlainBlock:
-    """Invert the key circuit and read the plaintext bits.
+# Amplitudes per slice of ``_argmax_abs``: 512 KiB of float64, 1 MiB of
+# complex128.
+_ARGMAX_SLICE = 1 << 16
 
-    The read is a deterministic argmax over probabilities plus a purity
-    check: any residual superposition beyond PURITY_TOL signals tampering,
-    corruption, or a wrong key and raises IntegrityError.
+
+def _argmax_abs(amps: np.ndarray) -> int:
+    """``np.argmax(np.abs(amps))`` over slices of _ARGMAX_SLICE amplitudes,
+    so no register-sized temporary of magnitudes is made (128 MiB at the
+    cap). Ties keep the first maximum, and the first NaN wins, as in numpy."""
+    top, best = 0, -1.0
+    for a in range(0, amps.size, _ARGMAX_SLICE):
+        mags = np.abs(amps[a : a + _ARGMAX_SLICE])
+        i = int(np.argmax(mags))
+        if np.isnan(mags[i]):
+            return a + i
+        if mags[i] > best:
+            top, best = a + i, mags[i]
+    return top
+
+
+def _guess_read(cc: CompiledCircuit, amps: np.ndarray, m: int = 1, pairing: tuple[int, ...] = ()) -> str | None:
+    """The post-inverse basis index of a register of m blocks (m = 1 is the
+    block cipher, m > 1 mode 2 under ``pairing``), as bits, found without
+    running the inverse; None when the guess fails its check.
+
+    Guess: input z of the key circuit has its largest amplitude at
+    A(z ^ flip), where bit q of ``flip`` is set iff |sin theta_q| >
+    |cos theta_q|. For m >= 2, y = argmax |amps| splits into blocks
+    y_1..y_m, block i's input is z_i = A^-1 y_i ^ flip, and the post-inverse
+    index is z_1 (that is p_1 ^ iv) followed by p_i = z_i ^ pi(y_{i-1}). For
+    one block, z = x ^ flip for the argmax x of the register gathered
+    through A, so A^-1 is never built.
+
+    Check: the circuit U is unitary, so the index's post-inverse probability
+    is |<Up|psi>|^2 (Nielsen & Chuang, section 2.1). The overlap contracts
+    the register against the guess's chain, last block first: each later
+    block is one gather of the key's table T at p_i ^ pi and one batched
+    product along its axis. The first block is gathered through A, where
+    row z_1 of T is the product state ``_kron`` of z_1, and contracted with
+    that state's factors, one balanced group of at most _GROUP qubits at a
+    time. The register is contracted as the float64 values it is stored
+    as, one per amplitude of a real register and an interleaved (re, im)
+    pair of a complex one.
     """
-    if c.state.n != k.n:
-        raise InputError(f"ciphertext has {c.state.n} qubits, key expects {k.n}")
-    probs = _inverse_probs(compile_circuit(key_circuit(k), k.n), c.state.amps)
-    return PlainBlock(_read_basis_probs(probs, k.n, "post-inverse state"))
+    n, size = cc.n, 1 << cc.n
+    flip = int("".join("1" if abs(math.sin(t)) > abs(math.cos(t)) else "0" for t in cc.thetas), 2)
+    width = 2 if np.iscomplexobj(amps) else 1
+    v = amps.view(np.float64)
+    if m > 1:
+        # m >= 2 means n <= 12 under the cap, so T, pi and A^-1 fit.
+        table, pi, unmix = _encrypt_table(cc), _pairing_map(n, pairing), _unmix(cc.cols)
+        top = _argmax_abs(amps)
+        ys = [top >> (n * (m - 1 - i)) & (size - 1) for i in range(m)]
+        index = [int(unmix[y]) ^ flip for y in ys]
+        index[1:] = [z ^ int(pi[y]) for z, y in zip(index[1:], ys)]
+        for i in range(m - 1, 0, -1):
+            v = np.matmul(table[index[i] ^ pi][:, None, :], v.reshape(-1, size, size, width))
+    v = np.take(v.reshape(size, width), _basis_indices(cc.cols), axis=0)
+    if m == 1:
+        index = [_argmax_abs(v.view(amps.dtype).ravel()) ^ flip]
+    first, groups = index_to_bits(index[0], n), -(-n // _GROUP)
+    cuts = [n * g // groups for g in range(groups + 1)]
+    for a, b in zip(cuts, cuts[1:]):
+        v = _kron(cc.thetas[a:b], first[a:b]) @ v.reshape(1 << (b - a), -1)
+    overlap = complex(*v)
+    # Accept iff the guess holds all but PURITY_TOL of the probability,
+    # written so that a NaN overlap fails. The norm is 1 within NORM_TOL, so
+    # an accepted index holds more than half: the one the inverse's argmax
+    # would read, up to rounding at the threshold.
+    if not 1.0 - (overlap.real**2 + overlap.imag**2) <= PURITY_TOL:
+        return None
+    return "".join(index_to_bits(p, n) for p in index)
+
+
+def _decrypt_bits(cc: CompiledCircuit, amps: np.ndarray, what: str, m: int = 1, pairing: tuple[int, ...] = ()) -> str:
+    """The one read of every decrypt: the guess and check of ``_guess_read``,
+    or, when it fails, the inverse's argmax-plus-purity read, which gives
+    the same bits or IntegrityError."""
+    bits = _guess_read(cc, amps, m, pairing)
+    return bits if bits is not None else _read_basis_probs(_inverse_probs(cc, amps, m, pairing), m * cc.n, what)
+
+
+def decrypt_block(k: CipherKey, c: CipherBlock) -> PlainBlock:
+    """Read the plaintext bits that the key circuit's inverse would give.
+
+    The read is ``_decrypt_bits``: the plaintext is guessed from the
+    ciphertext's largest amplitude and accepted iff its post-inverse
+    probability is at least 1 - PURITY_TOL. Otherwise the inverse runs,
+    and its argmax plus purity check gives the same bits, or, for any
+    residual superposition beyond PURITY_TOL (tampering, corruption, or a
+    wrong key), IntegrityError.
+    """
+    _check_width(k.n, c.state)
+    return PlainBlock(_decrypt_bits(compile_circuit(key_circuit(k), k.n), c.state.amps, "post-inverse state"))
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,11 @@ that can be part of the key) before the key circuit runs on it. All blocks
 live in one joint register, which is why the total width is capped; the
 mode is fully deterministic. Both directions run on the compiled key, one
 block of the register at a time: encryption multiplies on rows of the key's
-table of ciphertexts (one row per basis input). Decryption of two or more
-blocks guesses the plaintext from the register's largest amplitude and
-checks the guess with one contraction against those rows; only a failed
-check, or a single block, runs the block cipher's inverse along each
-block's axis.
+table of ciphertexts (one row per basis input). Decryption is the block
+cipher's read for any number of blocks: it guesses the plaintext from the
+register's largest amplitude and checks the guess with one contraction;
+only a failed check runs the block cipher's inverse along each block's
+axis.
 
 The first block of either mode is XORed with a pre-shared initialization
 vector that is stored with the key material, never with the transmission.
@@ -24,7 +24,6 @@ vector that is stored with the key material, never with the transmission.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -32,23 +31,21 @@ from enum import Enum
 import numpy as np
 
 from .cipher import (
-    PURITY_TOL,
     CipherBlock,
     PlainBlock,
+    _decrypt_bits,
     _encrypt_amps,
     _encrypt_table,
-    _inverse_probs,
     _pairing_map,
     _read_basis_probs,
-    _unmix,
     cipherblock_from_obj,
     cipherblock_to_json,
     encrypt_block,
     xor_bits,
 )
 from .errors import InputError
-from .keyschedule import CipherKey, CompiledCircuit, _permutation, compile_circuit, key_circuit
-from .statevector import StateVector, _check_bits, _check_n, _load_json, _owned, index_to_bits, measure_all
+from .keyschedule import CipherKey, _permutation, compile_circuit, key_circuit
+from .statevector import StateVector, _check_bits, _check_n, _load_json, _owned, _shown, measure_all
 
 
 class Mode(str, Enum):
@@ -105,7 +102,7 @@ class Transmission:
             if self.joint is not None:
                 raise InputError("measured-IV transmissions carry per-block states, not a joint register")
             if len(self.blocks) != self.m or len(self.iv_carriers) != self.m:
-                raise InputError(f"expected {self.m} ciphertext blocks and {self.m} IV carriers")
+                raise InputError(f"expected {_shown(self.m)} ciphertext blocks and {_shown(self.m)} IV carriers")
         else:
             if self.blocks or self.iv_carriers:
                 raise InputError("entangling transmissions carry a single joint register")
@@ -166,7 +163,7 @@ def mode1_decrypt(k: CipherKey, t: Transmission, cfg: ModeConfig) -> list[PlainB
     iv = cfg.iv
     out: list[PlainBlock] = []
     for i in range(t.m):
-        mixed = _read_basis_probs(_inverse_probs(cc, t.blocks[i].state.amps), k.n, f"block {i}")
+        mixed = _decrypt_bits(cc, t.blocks[i].state.amps, f"block {i}")
         out.append(PlainBlock(xor_bits(mixed, iv)))
         iv = _read_basis_probs(np.abs(t.iv_carriers[i].amps) ** 2, k.n, f"IV carrier {i}")
     return out
@@ -198,101 +195,33 @@ def mode2_encrypt(k: CipherKey, blocks: list[PlainBlock], cfg: ModeConfig) -> Tr
     return Transmission(Mode.ENTANGLING, k.n, m, joint=_owned(m * k.n, amps))
 
 
-# Amplitudes per slice of ``_argmax_abs``: 512 KiB of float64, 1 MiB of
-# complex128.
-_ARGMAX_SLICE = 1 << 16
-
-
-def _argmax_abs(amps: np.ndarray) -> int:
-    """``np.argmax(np.abs(amps))`` over slices of _ARGMAX_SLICE amplitudes,
-    so no register-sized temporary of magnitudes is made (128 MiB at the
-    cap). Ties keep the first maximum, and the first NaN wins, as in numpy."""
-    top, best = 0, -1.0
-    for a in range(0, amps.size, _ARGMAX_SLICE):
-        mags = np.abs(amps[a : a + _ARGMAX_SLICE])
-        i = int(np.argmax(mags))
-        if np.isnan(mags[i]):
-            return a + i
-        if mags[i] > best:
-            top, best = a + i, mags[i]
-    return top
-
-
-def _mode2_read(cc: CompiledCircuit, amps: np.ndarray, m: int, pairing: tuple[int, ...]) -> str | None:
-    """The post-inverse basis index of a register of m >= 2 blocks, as bits,
-    found without running the inverse; None when the guess fails its check.
-
-    Guess: take y = argmax |amps| and split it into blocks y_1..y_m. Input
-    z of the key circuit has its largest amplitude at A(z ^ flip), where
-    bit q of ``flip`` is set iff |sin theta_q| > |cos theta_q|, so block i's
-    input is z_i = A^-1 y_i ^ flip. The post-inverse index is z_1 (that is
-    p_1 ^ iv) followed by p_i = z_i ^ pi(y_{i-1}).
-
-    Check: the circuit U is unitary, so the index's post-inverse probability
-    is |<Up|psi>|^2 (Nielsen & Chuang, section 2.1). The overlap contracts
-    the register against the guess's chain, last block first: each block
-    is one gather of the key's table T at p_i ^ pi and one batched product
-    along its axis, and the first block is a dot with row T[z_1]. The
-    register is contracted as the float64 values it is stored as, one per
-    amplitude of a real register and an interleaved (re, im) pair of a
-    complex one, in one pass that makes no copy.
-    """
-    n, size = cc.n, 1 << cc.n
-    # m >= 2 means n <= 12 under the cap, so T, pi and A^-1 fit.
-    table = _encrypt_table(cc)
-    pi = _pairing_map(n, pairing)
-    unmix = _unmix(cc.cols)
-    flip = int("".join("1" if abs(math.sin(t)) > abs(math.cos(t)) else "0" for t in cc.thetas), 2)
-    top = _argmax_abs(amps)
-    ys = [top >> (n * (m - 1 - i)) & (size - 1) for i in range(m)]
-    index = [int(unmix[y]) ^ flip for y in ys]
-    index[1:] = [z ^ int(pi[y]) for z, y in zip(index[1:], ys)]
-    width = 2 if np.iscomplexobj(amps) else 1
-    v = amps.view(np.float64)
-    for i in range(m - 1, -1, -1):
-        rows = table[index[i] ^ pi] if i else table[index[:1]]
-        v = np.matmul(rows[:, None, :], v.reshape(-1, len(rows), size, width))
-    overlap = complex(*v.ravel())
-    # Accept iff the guess holds all but PURITY_TOL of the probability,
-    # written so that a NaN overlap fails. The norm is 1 within NORM_TOL, so
-    # an accepted index holds more than half: the one the inverse's argmax
-    # would read, up to rounding at the threshold.
-    if not 1.0 - (overlap.real**2 + overlap.imag**2) <= PURITY_TOL:
-        return None
-    return "".join(index_to_bits(p, n) for p in index)
-
-
 def mode2_decrypt(k: CipherKey, t: Transmission, cfg: ModeConfig) -> list[PlainBlock]:
     """Read the plaintext out of the entangled register.
 
-    Two or more blocks are read by guess and check (``_mode2_read``). The
-    guess comes from the largest amplitude: each block's ciphertext index
-    through A^-1 and the key's angles, chained through the pairing. The
-    check is one contraction of the register against the guess's rows of
-    the key's table, giving the guess's post-inverse probability. The
-    guess is accepted iff that probability is at least 1 - PURITY_TOL,
+    Any number of blocks is read by the block cipher's one reader,
+    ``cipher._decrypt_bits``: a guess from the register's largest amplitude
+    (each block's ciphertext index through A^-1 and the key's angles,
+    chained through the pairing), checked by one contraction of the
+    register against the guess's rows of the key's table, the first block
+    against its product state after a gather through A. The guess is
+    accepted iff its post-inverse probability is at least 1 - PURITY_TOL,
     phrased so that NaN fails; it then holds more than half, so it is the
     index the inverse's argmax would read.
 
-    Otherwise, and for a single block, the block cipher's inverse
-    ``cipher._inverse`` runs over the m blocks from the last to the first:
-    undoing block i's key leaves it in the basis state p_i XOR pi(y_{i-1}),
-    and one gather along its axis at p XOR pi(y_{i-1}) then undoes the
-    pairing CNOTs and disentangles it. The whole register must then be a
-    single basis state, read with an argmax plus purity check: the
-    plaintext, or IntegrityError. A single block stays on the inverse, as
-    ``decrypt_block`` and mode 1 do: there the check costs a scatter of 2^n
-    amplitudes, which at n = 18 measured slower than the grouped inverse.
+    Otherwise the block cipher's inverse ``cipher._inverse`` runs over the
+    m blocks from the last to the first: undoing block i's key leaves it in
+    the basis state p_i XOR pi(y_{i-1}), and one gather along its axis at
+    p XOR pi(y_{i-1}) then undoes the pairing CNOTs and disentangles it.
+    The whole register must then be a single basis state, read with an
+    argmax plus purity check: the plaintext, or IntegrityError. Only a
+    register of two or more blocks builds the table and the pairing map.
     """
     _check_mode(k, cfg, Mode.ENTANGLING, t=t)
     if t.m == 0:
         return []
-    n, m, pairing = k.n, t.m, cfg.mode2_pairing
+    n, m = k.n, t.m
     cc = compile_circuit(key_circuit(k), n)
-    amps = t.joint.amps  # type: ignore[union-attr]
-    bits = _mode2_read(cc, amps, m, pairing) if m > 1 else None  # type: ignore[arg-type]
-    if bits is None:
-        bits = _read_basis_probs(_inverse_probs(cc, amps, m, pairing), m * n, "joint register")  # type: ignore[arg-type]
+    bits = _decrypt_bits(cc, t.joint.amps, "joint register", m, cfg.mode2_pairing)  # type: ignore[union-attr, arg-type]
     chunks = [bits[i * n : (i + 1) * n] for i in range(m)]
     chunks[0] = xor_bits(chunks[0], cfg.iv)
     return [PlainBlock(c) for c in chunks]

@@ -50,14 +50,21 @@ class StateVector:
         return 1 << self.n
 
 
+def _shown(v: int) -> str:
+    """``v`` for a message: its digits up to 64 bits, else its size, since
+    Python refuses to print an integer of over 4,300 digits."""
+    bits = abs(v).bit_length()
+    return str(v) if bits <= 64 else f"{'-' if v < 0 else ''}<{bits}-bit integer>"
+
+
 def _check_n(n: object) -> None:
     """The one qubit-count check: an integer in 1..MAX_QUBITS."""
     if not isinstance(n, int) or isinstance(n, bool):
         raise InputError("qubit count must be an integer")
     if n < 1:
-        raise InputError(f"qubit count must be >= 1, got {n}")
+        raise InputError(f"qubit count must be >= 1, got {_shown(n)}")
     if n > MAX_QUBITS:
-        raise ResourceError(f"qubit count {n} exceeds the {MAX_QUBITS}-qubit cap")
+        raise ResourceError(f"qubit count {_shown(n)} exceeds the {MAX_QUBITS}-qubit cap")
 
 
 def _seal(s: StateVector, amps: np.ndarray, bad_norm: type[CipherError] = InputError) -> None:

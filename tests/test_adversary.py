@@ -8,6 +8,7 @@ from scipy import stats
 
 from qcipher.adversary import (
     AttackReport,
+    _ci_half_width,
     brute_force_key_recovery,
     collision_probability,
     config_count_bounds,
@@ -16,7 +17,7 @@ from qcipher.adversary import (
     marginal_estimation_attack,
     sampled_decrypt_bits,
 )
-from qcipher.cipher import PlainBlock, encrypt_block
+from qcipher.cipher import PlainBlock, decrypt_block, encrypt_block
 from qcipher.errors import InputError, ResourceError
 from qcipher.keyschedule import CipherKey, generate_key, keyspace_size, theta_value
 from qcipher.statevector import basis_state, measure_all
@@ -287,3 +288,35 @@ def test_config_count_bounds_json():
     assert obj["lower"] == "5242880"
     assert obj["upper"] == "10240000000000"
     assert set(obj) == {"n", "L", "lower", "upper", "log2_lower", "log2_upper"}
+
+
+@pytest.mark.parametrize("entry", ["decrypt_block", "sampled_decrypt_bits", "brute_force_key_recovery"])
+def test_ciphertext_width_is_one_check(entry):
+    # One helper, cipher._check_width, refuses a 4-qubit ciphertext under a
+    # 3-qubit key at every entry that reads one.
+    k = generate_key(3, 4, np.random.default_rng(0))
+    wide = encrypt_block(generate_key(4, 4, np.random.default_rng(1)), PlainBlock("0110"))
+    calls = {
+        "decrypt_block": lambda: decrypt_block(k, wide),
+        "sampled_decrypt_bits": lambda: sampled_decrypt_bits(k, wide.state, np.random.default_rng(2)),
+        "brute_force_key_recovery": lambda: brute_force_key_recovery(3, 4, (PlainBlock("011"), wide)),
+    }
+    with pytest.raises(InputError, match="^ciphertext has 4 qubits, key expects 3$"):
+        calls[entry]()
+
+
+def test_ci_half_width_is_the_wilson_interval():
+    # By hand, z = 1.96 and z^2 = 3.8416. At 0 of n and n of n the Wilson
+    # half-width is z^2 / (2 (n + z^2)), and the interval, centred at
+    # (k + z^2/2) / (n + z^2), reaches exactly 0 or 1.
+    z2, n = 3.8416, 1000
+    for k, end, sign in ((0, 0.0, -1), (n, 1.0, 1)):
+        half = _ci_half_width(k, n)
+        assert half == pytest.approx(3.8416 / 2007.6832, rel=1e-12)
+        assert (k + z2 / 2) / (n + z2) + sign * half == pytest.approx(end, abs=1e-15)
+    # 30 of 100: sqrt(3.8416 * 0.21 / 100 + 3.8416^2 / 40000) / 1.038416
+    # = sqrt(0.008436307264) / 1.038416 = 0.0884514.
+    assert _ci_half_width(30, 100) == pytest.approx(0.0884514, abs=1e-7)
+    # scipy's Wilson interval uses z = 1.959964.
+    ci = stats.binomtest(30, 100).proportion_ci(method="wilson")
+    assert (ci.high - ci.low) / 2 == pytest.approx(_ci_half_width(30, 100), abs=1e-5)

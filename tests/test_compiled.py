@@ -16,12 +16,15 @@ from oracles import (
     mode2_gate_by_gate,
     mode2_gate_by_gate_inverse,
 )
-from qcipher import modes
+from qcipher import cipher, modes
 from qcipher.cipher import (
+    CipherBlock,
     PlainBlock,
+    _argmax_abs,
     _basis_indices,
     _encrypt_amps,
     _encrypt_table,
+    _guess_read,
     _inverse,
     _inverse_probs,
     _kron,
@@ -291,12 +294,10 @@ def test_compiled_mode2_matches_gate_by_gate(n, m, N, seed):
         return [p.bits for p in back]
 
     def guess_read(key, state, pair):
-        """The guess-and-check read of m >= 2 blocks on its own: when it
-        accepts, the inverse's read gives the same bits; None otherwise."""
-        if m == 1:
-            return None
+        """The guess-and-check read on its own: when it accepts, the
+        inverse's read gives the same bits; None otherwise."""
         cck = compile_circuit(key_circuit(key), n)
-        bits = modes._mode2_read(cck, state.amps, m, pair)
+        bits = _guess_read(cck, state.amps, m, pair)
         if bits is not None:
             assert bits == _read(_inverse_probs(cck, state.amps, m, pair), n * m)
         return bits
@@ -336,7 +337,7 @@ def test_compiled_mode2_matches_gate_by_gate(n, m, N, seed):
         if must_fail:
             assert got is IntegrityError
             assert guess_read(key, state, pair) is None
-        elif m >= 2 and N != 8 and got is not IntegrityError:
+        elif N != 8 and got is not IntegrityError:
             # Off the N = 8 grid every row of T has one largest entry,
             # so a register that decrypts has its largest amplitude on the
             # guess's chain and the check accepts.
@@ -377,7 +378,7 @@ def test_mode2_ties_on_the_unguarded_eighth_turn_grid_fall_back():
     for seed in range(60):
         k, cfg, blocks, t = _mode2_message(4, 3, 8, seed)
         cc = compile_circuit(key_circuit(k), 4)
-        guess = modes._mode2_read(cc, t.joint.amps, 3, cfg.mode2_pairing)
+        guess = _guess_read(cc, t.joint.amps, 3, cfg.mode2_pairing)
         want = _read(_inverse_probs(cc, t.joint.amps, 3, cfg.mode2_pairing), 12)
         assert guess in (None, want)
         fallbacks += guess is None
@@ -385,18 +386,23 @@ def test_mode2_ties_on_the_unguarded_eighth_turn_grid_fall_back():
     assert 0 < fallbacks < 60
 
 
+def _forged(n, amps):
+    """A state holding ``amps`` as given: StateVector refuses a NaN norm."""
+    state = object.__new__(StateVector)
+    object.__setattr__(state, "n", n)
+    object.__setattr__(state, "amps", amps)
+    return state
+
+
 def test_mode2_nan_amplitude_fails_the_guess_and_the_inverse():
-    # StateVector refuses a NaN norm, so the register is assembled by hand;
-    # the gate-by-gate oracle cannot take it, and the inverse's read is the
-    # reference.
+    # The gate-by-gate oracle cannot take a NaN, and the inverse's read is
+    # the reference.
     k, cfg, blocks, t = _mode2_message(4, 2, 256, 21)
     amps = t.joint.amps.copy()
     amps[np.argmax(np.abs(amps))] = np.nan
-    state = object.__new__(StateVector)
-    object.__setattr__(state, "n", 8)
-    object.__setattr__(state, "amps", amps)
+    state = _forged(8, amps)
     cc = compile_circuit(key_circuit(k), 4)
-    assert modes._mode2_read(cc, amps, 2, cfg.mode2_pairing) is None
+    assert _guess_read(cc, amps, 2, cfg.mode2_pairing) is None
     assert _read(_inverse_probs(cc, amps, 2, cfg.mode2_pairing), 8) is IntegrityError
     with pytest.raises(IntegrityError):
         modes.mode2_decrypt(k, modes.Transmission(modes.Mode.ENTANGLING, 4, 2, joint=state), cfg)
@@ -419,6 +425,123 @@ def test_mode2_honest_register_decrypts_without_the_inverse(monkeypatch):
         modes.mode2_decrypt(k, tampered, cfg)
 
 
+# One block: decrypt_block, each block of mode1_decrypt and a single mode-2
+# block read by the same guess and check, with the inverse as fallback.
+
+
+def _single_block_decrypts(k, state):
+    """The three one-block decrypts of ``state``, under a zero IV so that
+    each returns the post-inverse bits."""
+    n, zero = k.n, "0" * k.n
+    m1 = modes.Transmission(modes.Mode.MEASURED, n, 1, (CipherBlock(state, 0, "m1"),), (basis_state(n, zero),))
+    m2 = modes.Transmission(modes.Mode.ENTANGLING, n, 1, joint=state)
+    return [
+        lambda: decrypt_block(k, CipherBlock(state)).bits,
+        lambda: modes.mode1_decrypt(k, m1, modes.ModeConfig(modes.Mode.MEASURED, zero))[0].bits,
+        lambda: modes.mode2_decrypt(k, m2, modes.ModeConfig(modes.Mode.ENTANGLING, zero))[0].bits,
+    ]
+
+
+def _single_block_reads(k, state):
+    """Each one-block decrypt's bits or IntegrityError, checked against the
+    inverse's read and the guess on its own, and returned."""
+    cc = compile_circuit(key_circuit(k), k.n)
+    want = _read(_inverse_probs(cc, state.amps), k.n)
+    got = [_mode2_outcome(decrypt) for decrypt in _single_block_decrypts(k, state)]
+    assert got == [want] * 3
+    guess = _guess_read(cc, state.amps)
+    assert guess in (None, want)
+    return want, guess
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.2, 2.0, 4.0])
+def test_one_qubit_guess_matches_the_inverse(theta):
+    # Keys start at two qubits; one rotation is the smallest circuit the
+    # read takes, and its tampered states are superpositions after the
+    # inverse since theta is no multiple of pi/4.
+    cc = compile_circuit([SingleU(1, theta)], 1)
+    for bits in "01":
+        amps = _encrypt_amps(cc, bits)
+        flipped = amps.copy()
+        flipped[np.argmax(np.abs(amps))] *= -1.0
+        nan = amps.copy()
+        nan[0] = np.nan
+        for state, want in ((amps, bits), (-amps, bits), (amps * 1j, bits), (flipped, None), (nan, None)):
+            assert _guess_read(cc, state) == want
+            assert _read(_inverse_probs(cc, state), 1) == (want or IntegrityError)
+
+
+@pytest.mark.parametrize("n", [*range(2, 13), 17, 18])
+def test_single_block_reads_match_the_inverse(n):
+    rng = np.random.default_rng(1100 + n)
+    k = generate_key(n, 256, rng)
+    bits = "".join(str(b) for b in rng.integers(0, 2, size=n))
+    cipher_state = encrypt_block(k, PlainBlock(bits)).state
+    amps = cipher_state.amps
+    top = np.argmax(np.abs(amps))
+    flipped = amps.copy()
+    flipped[top] *= -1.0
+    perturbed = amps.astype(np.complex128)
+    perturbed[np.argmin(np.abs(amps))] += 0.1j
+    perturbed /= np.linalg.norm(perturbed)
+    nan = amps.copy()
+    nan[top] = np.nan
+    theta = list(k.theta_indices)
+    theta[int(rng.integers(0, n))] ^= 1
+    wrong = CipherKey(n, 256, tuple(theta), k.step3_pairs, k.step4_upstream_order)
+    # (key, state, read): the guarded angles make every tampered state and
+    # the wrong key a superposition after the inverse.
+    variants = [
+        (k, cipher_state, bits),
+        (k, StateVector(n, -amps), bits),
+        (k, StateVector(n, amps * 1j), bits),
+        (k, StateVector(n, flipped), IntegrityError),
+        (k, StateVector(n, perturbed), IntegrityError),
+        (k, _forged(n, nan), IntegrityError),
+        (wrong, cipher_state, IntegrityError),
+    ]
+    for key, state, want in variants:
+        read, guess = _single_block_reads(key, state)
+        assert read == want
+        # Off the N = 8 grid a decryptable state's largest amplitude is the
+        # guess's, so the guess is accepted exactly when the read succeeds.
+        assert guess == (None if want is IntegrityError else want)
+
+
+def test_single_block_ties_on_the_unguarded_eighth_turn_grid_fall_back():
+    # As for mode 2: on the N = 8 grid |cos| = |sin| ties can make the guess
+    # miss, and then the inverse gives the plaintext.
+    fallbacks = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        k = generate_key(4, 8, rng)
+        bits = "".join(str(b) for b in rng.integers(0, 2, size=4))
+        read, guess = _single_block_reads(k, encrypt_block(k, PlainBlock(bits)).state)
+        assert read == bits
+        fallbacks += guess is None
+    assert 0 < fallbacks < 40
+
+
+def test_single_block_honest_reads_skip_the_inverse(monkeypatch):
+    # With the inverse made to fail, an honest guarded block still decrypts
+    # on all three paths, while a tampered one reaches the failing inverse.
+    def refuse(*args):
+        raise AssertionError("the inverse ran")
+
+    rng = np.random.default_rng(15)
+    k = generate_key(10, 256, rng)
+    bits = "".join(str(b) for b in rng.integers(0, 2, size=10))
+    amps = encrypt_block(k, PlainBlock(bits)).state.amps
+    flipped = amps.copy()
+    flipped[np.argmax(np.abs(amps))] *= -1.0
+    monkeypatch.setattr("qcipher.cipher._inverse", refuse)
+    for decrypt in _single_block_decrypts(k, StateVector(10, amps)):
+        assert decrypt() == bits
+    for decrypt in _single_block_decrypts(k, StateVector(10, flipped)):
+        with pytest.raises(AssertionError, match="the inverse ran"):
+            decrypt()
+
+
 # Magnitude ties (0.5, -0.5, 0.5j), NaN in either part, and inf.
 _AMPS = [0.0, 0.5, -0.5, 0.5j, 1.0, -1j, np.nan, complex(0.0, np.nan), np.inf]
 
@@ -426,12 +549,12 @@ _AMPS = [0.0, 0.5, -0.5, 0.5j, 1.0, -1j, np.nan, complex(0.0, np.nan), np.inf]
 @given(st.lists(st.sampled_from(_AMPS), min_size=1, max_size=40), st.integers(1, 8))
 def test_sliced_argmax_matches_numpy(values, step):
     amps = np.array(values, dtype=complex)
-    with mock.patch.object(modes, "_ARGMAX_SLICE", step):
-        assert modes._argmax_abs(amps) == int(np.argmax(np.abs(amps)))
+    with mock.patch.object(cipher, "_ARGMAX_SLICE", step):
+        assert _argmax_abs(amps) == int(np.argmax(np.abs(amps)))
 
 
 def test_sliced_argmax_at_the_default_slice():
-    w = modes._ARGMAX_SLICE
+    w = cipher._ARGMAX_SLICE
     amps = np.zeros(3 * w, dtype=complex)
     marks = [
         ([5, w + 7, 2 * w], [0.5, -0.5, 0.5j], 5),  # a tie across slices: the first
@@ -442,7 +565,7 @@ def test_sliced_argmax_at_the_default_slice():
     ]
     for where, values, want in marks:
         amps[where] = values
-        assert modes._argmax_abs(amps) == want == int(np.argmax(np.abs(amps)))
+        assert _argmax_abs(amps) == want == int(np.argmax(np.abs(amps)))
     # Registers smaller than one slice.
     for small, want in ((np.array([1.0 + 0j]), 0), (np.array([0.6, 0.8j, -0.8]), 1)):
-        assert modes._argmax_abs(small) == want == int(np.argmax(np.abs(small)))
+        assert _argmax_abs(small) == want == int(np.argmax(np.abs(small)))

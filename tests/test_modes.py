@@ -468,3 +468,16 @@ def test_statevector_owns_a_read_only_buffer():
         assert s.amps.dtype == np.float64 and not s.amps.flags.writeable
         with pytest.raises(ValueError):
             s.amps[0] = 0.0
+
+
+def test_huge_counts_end_in_the_cap_error():
+    # A count past Python's 4,300 printable digits is shown by its bit
+    # length, so the cap check raises its own class, not ValueError.
+    with pytest.raises(ResourceError, match="^qubit count <19932-bit integer> exceeds the 24-qubit cap$"):
+        Transmission(Mode.ENTANGLING, 10**3000, 10**3000)
+    with pytest.raises(InputError, match="^expected <9966-bit integer> ciphertext blocks"):
+        Transmission(Mode.MEASURED, 4, 10**3000)
+    with pytest.raises(InputError, match="^qubit count must be >= 1, got -<9966-bit integer>$"):
+        StateVector(-(10**3000), [1.0])
+    with pytest.raises(InputError, match="^joint register must hold exactly 8 qubits$"):
+        Transmission(Mode.ENTANGLING, 4, 2, joint=basis_state(4, "0000"))
