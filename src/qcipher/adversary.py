@@ -47,7 +47,7 @@ class AttackReport:
     trials: int
     counts: dict[str, int]
     estimates: dict[str, float]
-    ci_half_widths: dict[str, float]
+    ci_bounds: dict[str, list[float]]
     params: dict[str, object]
 
     def to_json(self) -> str:
@@ -64,7 +64,7 @@ class AttackReport:
             "trials": self.trials,
             "counts": self.counts,
             "estimates": self.estimates,
-            "ci_half_widths": self.ci_half_widths,
+            "ci_bounds": self.ci_bounds,
             "params": {k: _clean(v) for k, v in self.params.items()},
         }
         return json.dumps(obj)
@@ -80,14 +80,17 @@ def _check_count_arg(value: int, cap: int, what: str) -> None:
         raise ResourceError(f"{what} exceed the cap of {cap}")
 
 
-def _ci_half_width(successes: int, trials: int) -> float:
-    """Half the width of the 95% Wilson score interval for ``successes`` of
+def _ci_bounds(successes: int, trials: int) -> list[float]:
+    """The 95% Wilson score interval [low, high] for ``successes`` of
     ``trials`` >= 1 (Wilson 1927). Unlike the Wald interval it is not empty
-    at a rate of 0 or 1; it is centred at (successes + z^2/2) / (trials +
-    z^2), which lies between the rate and 1/2."""
+    at a rate of 0 or 1. It is centred at (successes + z^2/2) / (trials +
+    z^2), between the rate and 1/2, not at the rate, so it is reported by
+    its bounds; they lie in [0, 1], and are clamped there against
+    rounding."""
     z2 = 1.96**2
-    p = successes / trials
-    return math.sqrt(z2 * p * (1.0 - p) / trials + z2 * z2 / (4 * trials * trials)) / (1.0 + z2 / trials)
+    centre = (successes + z2 / 2) / (trials + z2)
+    half = math.sqrt(z2 * successes * (trials - successes) / trials + z2 * z2 / 4) / (trials + z2)
+    return [max(0.0, centre - half), min(1.0, centre + half)]
 
 
 def collision_probability(s: StateVector) -> float:
@@ -169,9 +172,9 @@ def detection_experiment(
             "collision_probability": collision,
             "predicted_detection_rate": 1.0 - collision**r if eve_on else 0.0,
         },
-        ci_half_widths={
-            "detection_rate": _ci_half_width(detections, trials),
-            "per_copy_pass": _ci_half_width(copy_passes, total_copies),
+        ci_bounds={
+            "detection_rate": _ci_bounds(detections, trials),
+            "per_copy_pass": _ci_bounds(copy_passes, total_copies),
         },
         params={"n": k.n, "r": r, "eve_on": eve_on, "plaintext": p.bits},
     )

@@ -132,49 +132,40 @@ def _encrypt_table(cc: CompiledCircuit) -> np.ndarray:
     return np.take(_kron(cc.thetas), _unmix(cc.cols), axis=1)
 
 
-def _inverse(cc: CompiledCircuit, part: np.ndarray, m: int = 1, pairing: tuple[int, ...] = ()) -> np.ndarray:
-    """The inverse circuit on one real array of m blocks of cc.n qubits,
-    from the last block to the first; m = 1 is the block cipher, m > 1 is
-    mode 2 under the CNOT ``pairing`` (see ``_pairing_map``).
-
-    On each block's axis, one gather undoes A (the amplitude at x comes
-    from A x), then the self-inverse rotation layer runs as one matrix
-    product per balanced group of at most _GROUP qubits. For every block
-    but the first, one more gather along the axis, at p ^ pi(y_{i-1}),
-    undoes the pairing CNOTs.
-    """
-    n, size = cc.n, 1 << cc.n
+def _cuts(n: int) -> list[tuple[int, int]]:
+    """The qubit slices [a, b) of the balanced groups of at most _GROUP
+    qubits that the inverse and the read's check take n qubits in."""
     groups = -(-n // _GROUP)
     cuts = [n * g // groups for g in range(groups + 1)]
-    idx, mats = _basis_indices(cc.cols), [_kron(cc.thetas[a:b]) for a, b in zip(cuts, cuts[1:])]
-    for i in range(m, 0, -1):
-        rest = size ** (m - i)
-        part = np.take(part.reshape(-1, size, rest), idx, axis=1)
-        inner = size * rest
-        for mat in mats:
-            inner //= len(mat)
-            if inner == 1:
-                # On the last axis, one matrix product rather than one
-                # matrix-vector product per prefix.
-                part = part.reshape(-1, len(mat)) @ mat.T
-            else:
-                part = np.matmul(mat, part.reshape(-1, len(mat), inner))
-        if i > 1:
-            # Built only here: i > 1 means m >= 2, so n <= 12 under the
-            # cap and this 2^n x 2^n index array fits.
-            chain = (np.arange(size) ^ _pairing_map(n, pairing)[:, None])[None, :, :, None]
-            part = np.take_along_axis(part.reshape(-1, size, size, rest), chain, axis=2)
+    return list(zip(cuts, cuts[1:]))
+
+
+def _inverse(cc: CompiledCircuit, part: np.ndarray) -> np.ndarray:
+    """The inverse circuit on one real array of one block: one gather undoes
+    A (the amplitude at x comes from A x), then the self-inverse rotation
+    layer runs as one matrix product per group of ``_cuts``."""
+    idx, mats = _basis_indices(cc.cols), [_kron(cc.thetas[a:b]) for a, b in _cuts(cc.n)]
+    part = np.take(part, idx)
+    inner = part.size
+    for mat in mats:
+        inner //= len(mat)
+        if inner == 1:
+            # On the last axis, one matrix product rather than one
+            # matrix-vector product per prefix.
+            part = part.reshape(-1, len(mat)) @ mat.T
+        else:
+            part = np.matmul(mat, part.reshape(-1, len(mat), inner))
     return part.ravel()
 
 
-def _inverse_probs(cc: CompiledCircuit, amps: np.ndarray, m: int = 1, pairing: tuple[int, ...] = ()) -> np.ndarray:
+def _inverse_probs(cc: CompiledCircuit, amps: np.ndarray) -> np.ndarray:
     """Basis probabilities after the inverse circuit. A complex array's real
     and imaginary parts run as separate float64 arrays; a real one, as every
     honest ciphertext is, runs once."""
-    re = _inverse(cc, amps.real, m, pairing)
+    re = _inverse(cc, amps.real)
     probs = np.square(re, out=re)
     if np.iscomplexobj(amps):
-        im = _inverse(cc, amps.imag, m, pairing)
+        im = _inverse(cc, amps.imag)
         probs += np.square(im, out=im)
     return probs
 
@@ -198,16 +189,20 @@ def encrypt_block(k: CipherKey, p: PlainBlock) -> CipherBlock:
     return CipherBlock(_owned(k.n, amps))
 
 
-def _read_basis_probs(probs: np.ndarray, n: int, what: str) -> str:
-    """The basis index holding all the probability, as bits, or IntegrityError."""
-    index = int(np.argmax(probs))
-    impurity = 1.0 - float(probs[index])
-    # Written so that a NaN impurity (from a NaN amplitude) fails too.
+def _check_pure(impurity: float, what: str) -> None:
+    """IntegrityError unless ``impurity`` is at most PURITY_TOL, written so
+    that a NaN impurity (from a NaN amplitude) fails too."""
     if not impurity <= PURITY_TOL:
         raise IntegrityError(
             f"{what} is not a computational basis state (impurity {impurity:.3g}); "
             "tampering, corruption, or a wrong key"
         )
+
+
+def _read_basis_probs(probs: np.ndarray, n: int, what: str) -> str:
+    """The basis index holding all the probability, as bits, or IntegrityError."""
+    index = int(np.argmax(probs))
+    _check_pure(1.0 - float(probs[index]), what)
     return index_to_bits(index, n)
 
 
@@ -231,77 +226,90 @@ def _argmax_abs(amps: np.ndarray) -> int:
     return top
 
 
-def _guess_read(cc: CompiledCircuit, amps: np.ndarray, m: int = 1, pairing: tuple[int, ...] = ()) -> str | None:
-    """The post-inverse basis index of a register of m blocks (m = 1 is the
-    block cipher, m > 1 mode 2 under ``pairing``), as bits, found without
-    running the inverse; None when the guess fails its check.
+def _pair_read(cc: CompiledCircuit, g: np.ndarray, x: int) -> int:
+    """The key input z of one block from its register gathered through A,
+    ``g[x] = psi[A x]`` as rows of float64 values (one per amplitude of a
+    real register, a (re, im) pair of a complex one), read at index x.
 
-    Guess: input z of the key circuit has its largest amplitude at
-    A(z ^ flip), where bit q of ``flip`` is set iff |sin theta_q| >
-    |cos theta_q|. For m >= 2, y = argmax |amps| splits into blocks
-    y_1..y_m, block i's input is z_i = A^-1 y_i ^ flip, and the post-inverse
-    index is z_1 (that is p_1 ^ iv) followed by p_i = z_i ^ pi(y_{i-1}). For
-    one block, z = x ^ flip for the argmax x of the register gathered
-    through A, so A^-1 is never built.
-
-    Check: the circuit U is unitary, so the index's post-inverse probability
-    is |<Up|psi>|^2 (Nielsen & Chuang, section 2.1). The overlap contracts
-    the register against the guess's chain, last block first: each later
-    block is one gather of the key's table T at p_i ^ pi and one batched
-    product along its axis. The first block is gathered through A, where
-    row z_1 of T is the product state ``_kron`` of z_1, and contracted with
-    that state's factors, one balanced group of at most _GROUP qubits at a
-    time. The register is contracted as the float64 values it is stored
-    as, one per amplitude of a real register and an interleaved (re, im)
-    pair of a complex one.
+    An honest block is g = +-prod_q u_q(z_q), where u(0) = (cos, sin) and
+    u(1) = (sin, -cos) are the rows of U(theta_q). So the pair w of g at x
+    with bit q cleared and set is a multiple of u_q(z_q), and qubit q's own
+    inverse rotation sends it to the basis vector z_q: bit q is 1 iff
+    |s w0 - c w1| > |c w0 + s w1|. The rows are orthogonal, so this holds
+    at |cos| = |sin| too.
     """
-    n, size = cc.n, 1 << cc.n
-    flip = int("".join("1" if abs(math.sin(t)) > abs(math.cos(t)) else "0" for t in cc.thetas), 2)
-    width = 2 if np.iscomplexobj(amps) else 1
-    v = amps.view(np.float64)
-    if m > 1:
-        # m >= 2 means n <= 12 under the cap, so T, pi and A^-1 fit.
-        table, pi, unmix = _encrypt_table(cc), _pairing_map(n, pairing), _unmix(cc.cols)
-        top = _argmax_abs(amps)
-        ys = [top >> (n * (m - 1 - i)) & (size - 1) for i in range(m)]
-        index = [int(unmix[y]) ^ flip for y in ys]
-        index[1:] = [z ^ int(pi[y]) for z, y in zip(index[1:], ys)]
-        for i in range(m - 1, 0, -1):
-            v = np.matmul(table[index[i] ^ pi][:, None, :], v.reshape(-1, size, size, width))
-    v = np.take(v.reshape(size, width), _basis_indices(cc.cols), axis=0)
-    if m == 1:
-        index = [_argmax_abs(v.view(amps.dtype).ravel()) ^ flip]
-    first, groups = index_to_bits(index[0], n), -(-n // _GROUP)
-    cuts = [n * g // groups for g in range(groups + 1)]
-    for a, b in zip(cuts, cuts[1:]):
-        v = _kron(cc.thetas[a:b], first[a:b]) @ v.reshape(1 << (b - a), -1)
-    overlap = complex(*v)
-    # Accept iff the guess holds all but PURITY_TOL of the probability,
-    # written so that a NaN overlap fails. The norm is 1 within NORM_TOL, so
-    # an accepted index holds more than half: the one the inverse's argmax
-    # would read, up to rounding at the threshold.
-    if not 1.0 - (overlap.real**2 + overlap.imag**2) <= PURITY_TOL:
-        return None
-    return "".join(index_to_bits(p, n) for p in index)
+    masks = 1 << np.arange(cc.n - 1, -1, -1)
+    w0, w1 = g[x & ~masks], g[x | masks]
+    c, s = np.cos(cc.thetas)[:, None], np.sin(cc.thetas)[:, None]
+    ones = np.sum(np.square(s * w0 - c * w1), axis=1) > np.sum(np.square(c * w0 + s * w1), axis=1)
+    return int(masks[ones].sum())
 
 
 def _decrypt_bits(cc: CompiledCircuit, amps: np.ndarray, what: str, m: int = 1, pairing: tuple[int, ...] = ()) -> str:
-    """The one read of every decrypt: the guess and check of ``_guess_read``,
-    or, when it fails, the inverse's argmax-plus-purity read, which gives
-    the same bits or IntegrityError."""
-    bits = _guess_read(cc, amps, m, pairing)
-    return bits if bits is not None else _read_basis_probs(_inverse_probs(cc, amps, m, pairing), m * cc.n, what)
+    """The one read of every decrypt: the post-inverse basis index of a
+    register of m blocks (m = 1 is the block cipher, m > 1 mode 2 under
+    ``pairing``), as bits, or IntegrityError.
+
+    Read: one block is gathered through A and read by ``_pair_read`` at the
+    argmax x of |g|, so A^-1 is never built. For m >= 2, y = argmax |amps|
+    splits into blocks y_1..y_m, read from the last block to the first:
+    block i is its row at the prefix y_1..y_{i-1}, gathered through A and
+    read at x = A^-1 y_i, which gives z_i and p_i = z_i ^ pi(y_{i-1}); the
+    block's axis is then contracted with the rows T[p_i ^ pi] of the key's
+    table, one batched product. Block 1 is then read as one block is, at
+    x = A^-1 y_1, and the index is z_1 (that is p_1 ^ iv) followed by the
+    p_i.
+
+    Check: the circuit U is unitary, so the index's post-inverse
+    probability is |<Up|psi>|^2 (Nielsen & Chuang, section 2.1). The later
+    blocks' contractions above are its first steps; block 1's gathered row
+    is then contracted with the factors of the product state of z_1, row
+    z_1 of T, one group of ``_cuts`` at a time. Accept iff the index holds
+    all but PURITY_TOL of the probability.
+    """
+    # Why this read gives the inverse's bits. Suppose the inverse accepts an
+    # index z'. Then psi = alpha Enc(z') + e with |e|^2 <= PURITY_TOL +
+    # NORM_TOL, so |e| <= 4.5e-5. Each factor of a product state has an
+    # entry of magnitude at least 2^-1/2, so under the 24-qubit cap the
+    # largest entry of Enc(z') is at least 2^-12 = 2.44e-4, and at the
+    # register's argmax the honest part is at least about 1.55e-4. The
+    # contractions with unit rows do not grow e. Each pair decision then
+    # sees at least 1.1e-4 on the right row and at most 4.5e-5 on the wrong
+    # one, so the read gives the same bits or IntegrityError as the
+    # inverse, up to rounding at the threshold.
+    n, size, width = cc.n, 1 << cc.n, 2 if np.iscomplexobj(amps) else 1
+    v = amps.view(np.float64)
+    index = [0] * m
+    if m > 1:
+        # m >= 2 means n <= 12 under the cap, so T, pi, A and A^-1 fit.
+        table, pi, idx, unmix = _encrypt_table(cc), _pairing_map(n, pairing), _basis_indices(cc.cols), _unmix(cc.cols)
+        top = _argmax_abs(amps)
+        ys = [top >> (n * (m - 1 - i)) & (size - 1) for i in range(m)]
+        for i in range(m - 1, 0, -1):
+            row = v.reshape(-1, size, width)[top >> (n * (m - i))]
+            index[i] = _pair_read(cc, np.take(row, idx, axis=0), int(unmix[ys[i]])) ^ int(pi[ys[i - 1]])
+            v = np.matmul(table[index[i] ^ pi][:, None, :], v.reshape(-1, size, size, width))
+    # A's index array is not kept past this gather: at n = 18, holding it
+    # to the end took the read from 2.7 to 3.1 ms (median of 300 calls on
+    # a 2-core x86_64 box), through how the freed arrays are reused.
+    g = np.take(v.reshape(size, width), _basis_indices(cc.cols), axis=0)
+    index[0] = _pair_read(cc, g, int(unmix[ys[0]]) if m > 1 else _argmax_abs(g.view(amps.dtype).ravel()))
+    first = index_to_bits(index[0], n)
+    for a, b in _cuts(n):
+        g = _kron(cc.thetas[a:b], first[a:b]) @ g.reshape(1 << (b - a), -1)
+    overlap = complex(*g)
+    _check_pure(1.0 - (overlap.real**2 + overlap.imag**2), what)
+    return "".join(index_to_bits(p, n) for p in index)
 
 
 def decrypt_block(k: CipherKey, c: CipherBlock) -> PlainBlock:
     """Read the plaintext bits that the key circuit's inverse would give.
 
-    The read is ``_decrypt_bits``: the plaintext is guessed from the
-    ciphertext's largest amplitude and accepted iff its post-inverse
-    probability is at least 1 - PURITY_TOL. Otherwise the inverse runs,
-    and its argmax plus purity check gives the same bits, or, for any
-    residual superposition beyond PURITY_TOL (tampering, corruption, or a
-    wrong key), IntegrityError.
+    The read is ``_decrypt_bits``: each plaintext bit is read from one pair
+    of amplitudes at the ciphertext's largest one, and the plaintext is
+    accepted iff its post-inverse probability is at least 1 - PURITY_TOL.
+    Any residual superposition beyond that (tampering, corruption, or a
+    wrong key) raises IntegrityError. The inverse circuit never runs.
     """
     _check_width(k.n, c.state)
     return PlainBlock(_decrypt_bits(compile_circuit(key_circuit(k), k.n), c.state.amps, "post-inverse state"))

@@ -290,7 +290,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
             counts={"recovered_qubits": hits, "qubits": key.n},
             estimates={f"theta_hat_{q + 1}": float(est) for q, est in enumerate(estimates)}
             | {f"residual_{q + 1}": float(res) for q, res in enumerate(residuals)},
-            ci_half_widths={},
+            ci_bounds={},
             params={"n": key.n, "samples": args.samples, "full_circuit": args.full_circuit,
                     "plaintext": plaintext.bits},
         )
@@ -308,7 +308,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         trials=size if size <= 2**53 else 0,
         counts={"consistent_keys": len(consistent), "true_key_found": int(found)},
         estimates={"consistent_fraction": len(consistent) / size},
-        ci_half_widths={},
+        ci_bounds={},
         params={"n": key.n, "N": key.N, "enumerated": size, "plaintext": plaintext.bits},
     )
     _emit(report.to_json(), args.out)

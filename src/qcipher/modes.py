@@ -13,10 +13,9 @@ live in one joint register, which is why the total width is capped; the
 mode is fully deterministic. Both directions run on the compiled key, one
 block of the register at a time: encryption multiplies on rows of the key's
 table of ciphertexts (one row per basis input). Decryption is the block
-cipher's read for any number of blocks: it guesses the plaintext from the
-register's largest amplitude and checks the guess with one contraction;
-only a failed check runs the block cipher's inverse along each block's
-axis.
+cipher's read for any number of blocks: from the register's largest
+amplitude it reads each block, last block first, from pairs of amplitudes
+and contracts the block away, then checks the whole read's probability.
 
 The first block of either mode is XORed with a pre-shared initialization
 vector that is stored with the key material, never with the transmission.
@@ -103,13 +102,16 @@ class Transmission:
                 raise InputError("measured-IV transmissions carry per-block states, not a joint register")
             if len(self.blocks) != self.m or len(self.iv_carriers) != self.m:
                 raise InputError(f"expected {_shown(self.m)} ciphertext blocks and {_shown(self.m)} IV carriers")
+            if any(s.n != self.n for s in (*(b.state for b in self.blocks), *self.iv_carriers)):
+                raise InputError(f"every ciphertext block and IV carrier must hold exactly {self.n} qubits")
         else:
             if self.blocks or self.iv_carriers:
                 raise InputError("entangling transmissions carry a single joint register")
             if self.m > 0:
                 _check_n(self.m * self.n)
-                if self.joint is None or self.joint.n != self.m * self.n:
-                    raise InputError(f"joint register must hold exactly {self.m * self.n} qubits")
+            # No register counts as 0 qubits, which is what m = 0 needs.
+            if (0 if self.joint is None else self.joint.n) != self.m * self.n:
+                raise InputError(f"joint register must hold exactly {self.m * self.n} qubits")
 
 
 def _check_mode(
@@ -199,22 +201,16 @@ def mode2_decrypt(k: CipherKey, t: Transmission, cfg: ModeConfig) -> list[PlainB
     """Read the plaintext out of the entangled register.
 
     Any number of blocks is read by the block cipher's one reader,
-    ``cipher._decrypt_bits``: a guess from the register's largest amplitude
-    (each block's ciphertext index through A^-1 and the key's angles,
-    chained through the pairing), checked by one contraction of the
-    register against the guess's rows of the key's table, the first block
-    against its product state after a gather through A. The guess is
-    accepted iff its post-inverse probability is at least 1 - PURITY_TOL,
-    phrased so that NaN fails; it then holds more than half, so it is the
-    index the inverse's argmax would read.
-
-    Otherwise the block cipher's inverse ``cipher._inverse`` runs over the
-    m blocks from the last to the first: undoing block i's key leaves it in
-    the basis state p_i XOR pi(y_{i-1}), and one gather along its axis at
-    p XOR pi(y_{i-1}) then undoes the pairing CNOTs and disentangles it.
-    The whole register must then be a single basis state, read with an
-    argmax plus purity check: the plaintext, or IntegrityError. Only a
-    register of two or more blocks builds the table and the pairing map.
+    ``cipher._decrypt_bits``. From the register's largest amplitude y it
+    walks from the last block to the first: block i's row at the prefix
+    y_1..y_{i-1}, gathered through A, gives each bit from one pair of
+    amplitudes at A^-1 y_i. That is the key input p_i XOR pi(y_{i-1}), so
+    p_i follows, and contracting block i's axis with the rows
+    T[p_i XOR pi] of the key's table undoes the key and the pairing CNOTs.
+    Block 1 is read as one block is. The read is accepted iff its
+    post-inverse probability is at least 1 - PURITY_TOL, phrased so that
+    NaN fails; otherwise IntegrityError. Only a register of two or more
+    blocks builds the table, the pairing map and A^-1.
     """
     _check_mode(k, cfg, Mode.ENTANGLING, t=t)
     if t.m == 0:
@@ -300,6 +296,10 @@ def transmission_from_json(text: str) -> Transmission:
     entries = []
     for j, (entry, (tag, index, qubits)) in enumerate(zip(payload, _layout(mode, n, m))):
         cb = cipherblock_from_obj(entry)
+        # Transmission checks the widths again. This check stays because a
+        # header whose m * n passes the cap, with an entry that does not,
+        # is a malformed file (InputError) here, where Transmission would
+        # raise ResourceError for m * n.
         if cb.mode != tag or cb.block_index != index or cb.state.n != qubits:
             raise InputError(f'payload entry {j} is not "{tag}" block {index} of {qubits} qubits')
         entries.append(cb)

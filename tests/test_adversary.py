@@ -8,7 +8,7 @@ from scipy import stats
 
 from qcipher.adversary import (
     AttackReport,
-    _ci_half_width,
+    _ci_bounds,
     brute_force_key_recovery,
     collision_probability,
     config_count_bounds,
@@ -260,13 +260,14 @@ def test_attack_report_serializes_big_integers_as_strings():
         trials=10,
         counts={"hits": 3},
         estimates={"rate": 0.3},
-        ci_half_widths={"rate": 0.1},
+        ci_bounds={"rate": [0.05, 0.6]},
         params={"keyspace": 2**80, "n": 8},
     )
     obj = json.loads(report.to_json())
     assert obj["params"]["keyspace"] == str(2**80)
     assert obj["params"]["n"] == 8
     assert obj["counts"]["hits"] == 3
+    assert obj["ci_bounds"] == {"rate": [0.05, 0.6]}
 
 
 @pytest.mark.parametrize(
@@ -305,18 +306,23 @@ def test_ciphertext_width_is_one_check(entry):
         calls[entry]()
 
 
-def test_ci_half_width_is_the_wilson_interval():
-    # By hand, z = 1.96 and z^2 = 3.8416. At 0 of n and n of n the Wilson
-    # half-width is z^2 / (2 (n + z^2)), and the interval, centred at
-    # (k + z^2/2) / (n + z^2), reaches exactly 0 or 1.
-    z2, n = 3.8416, 1000
-    for k, end, sign in ((0, 0.0, -1), (n, 1.0, 1)):
-        half = _ci_half_width(k, n)
-        assert half == pytest.approx(3.8416 / 2007.6832, rel=1e-12)
-        assert (k + z2 / 2) / (n + z2) + sign * half == pytest.approx(end, abs=1e-15)
-    # 30 of 100: sqrt(3.8416 * 0.21 / 100 + 3.8416^2 / 40000) / 1.038416
-    # = sqrt(0.008436307264) / 1.038416 = 0.0884514.
-    assert _ci_half_width(30, 100) == pytest.approx(0.0884514, abs=1e-7)
+def test_ci_bounds_are_the_wilson_interval():
+    # By hand, z = 1.96 and z^2 = 3.8416. The interval is centred at
+    # (k + z^2/2) / (n + z^2) with half-width sqrt(z^2 k (n - k) / n +
+    # z^4 / 4) / (n + z^2). At 0 of n and n of n that half-width is
+    # z^2 / (2 (n + z^2)), so the interval reaches 0 or 1, and no further.
+    n = 1000
+    low, high = _ci_bounds(0, n)
+    assert low == pytest.approx(0.0, abs=1e-15)
+    assert high == pytest.approx(3.8416 / 1003.8416, rel=1e-12)
+    low, high = _ci_bounds(n, n)
+    assert low == pytest.approx(1000 / 1003.8416, rel=1e-12)
+    assert high == pytest.approx(1.0, abs=1e-15) and high <= 1.0
+    # 30 of 100: centre 31.9208 / 103.8416 = 0.3073990, half-width
+    # sqrt(3.8416 * 21 + 3.689473) / 103.8416 = 0.0884514.
+    low, high = _ci_bounds(30, 100)
+    assert low == pytest.approx(0.3073990 - 0.0884514, abs=2e-7)
+    assert high == pytest.approx(0.3073990 + 0.0884514, abs=2e-7)
     # scipy's Wilson interval uses z = 1.959964.
     ci = stats.binomtest(30, 100).proportion_ci(method="wilson")
-    assert (ci.high - ci.low) / 2 == pytest.approx(_ci_half_width(30, 100), abs=1e-5)
+    assert [low, high] == pytest.approx([ci.low, ci.high], abs=1e-5)

@@ -206,6 +206,10 @@ def test_attack_intercept_detects(tmp_path, capsys):
     assert rc == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["estimates"]["detection_rate"] > 0.99
+    # Each rate lies in its Wilson interval, reported by its bounds in [0, 1].
+    for name in ("detection_rate", "per_copy_pass"):
+        low, high = obj["ci_bounds"][name]
+        assert 0.0 <= low <= obj["estimates"][name] <= high <= 1.0
 
 
 def test_attack_brute_enumerates_keyspace(capsys):

@@ -24,7 +24,7 @@ from qcipher.cipher import (
     _basis_indices,
     _encrypt_amps,
     _encrypt_table,
-    _guess_read,
+    _decrypt_bits,
     _inverse,
     _inverse_probs,
     _kron,
@@ -68,17 +68,40 @@ def _read(probs, n):
         return IntegrityError
 
 
+def _outcome(decrypt):
+    """Decrypted bits, or the IntegrityError type."""
+    try:
+        return decrypt()
+    except IntegrityError:
+        return IntegrityError
+
+
+def _refuse_inverse():
+    """A context in which any run of the block cipher's inverse fails the
+    test: no decrypt may reach it."""
+    return mock.patch.object(cipher, "_inverse", side_effect=AssertionError("the inverse ran"))
+
+
 def _inverse_read(ops, amps, n):
     """The compiled inverse of ``ops`` on ``amps`` against the reversed gate
     list: real and imaginary amplitudes within INVERSE_AMP_TOL and the same
-    read, which is returned."""
+    read, which is returned. The decrypt read gives it too, with the
+    inverse refused."""
     ref = apply_circuit(StateVector(n, amps), list(reversed(ops))).amps
     cc = compile_circuit(ops, n)
     assert np.max(np.abs(_inverse(cc, amps.real) - ref.real)) <= INVERSE_AMP_TOL
     assert np.max(np.abs(_inverse(cc, amps.imag) - ref.imag)) <= INVERSE_AMP_TOL
     read = _read(_inverse_probs(cc, amps), n)
     assert read == _read(np.abs(ref) ** 2, n)
+    with _refuse_inverse():
+        assert _outcome(lambda: _decrypt_bits(cc, amps, "post-inverse state")) == read
     return read
+
+
+def _ties(k):
+    """Whether some angle of ``k`` ties |cos| and |sin| (an odd multiple of
+    pi/4), where a row of the key's table has tied largest entries."""
+    return any(abs(abs(np.cos(t)) - abs(np.sin(t))) < 1e-12 for t in compile_circuit(key_circuit(k), k.n).thetas)
 
 
 @pytest.mark.parametrize("n", range(1, 21))
@@ -236,22 +259,14 @@ def test_compile_rejects_other_shapes(ops):
 MODE2_AMP_TOL = 1e-15
 
 
-def _mode2_outcome(decrypt):
-    """Decrypted block bits, or the IntegrityError type."""
-    try:
-        return decrypt()
-    except IntegrityError:
-        return IntegrityError
-
-
 @given(
     n=st.integers(2, 8),
     m=st.integers(1, 3),
     N=st.sampled_from([4, 8, 16, 256]),
     seed=st.integers(0, 2**32 - 1),
 )
-# Two blocks of 9 qubits: the inverse splits each block into two groups and
-# multiplies the first block's groups with the second block's axis behind it.
+# Two blocks of 9 qubits: the read's check contracts the first block in two
+# groups of qubits.
 @example(n=9, m=2, N=256, seed=9)
 @example(n=9, m=2, N=16, seed=10)
 @settings(max_examples=60, deadline=None)
@@ -276,33 +291,18 @@ def test_compiled_mode2_matches_gate_by_gate(n, m, N, seed):
     assert np.max(np.abs(t.joint.amps - ref.amps)) <= MODE2_AMP_TOL
 
     def oracle_read(key, state, pair):
-        amps = mode2_gate_by_gate_inverse(key, state, pair)
-        # The compiled inverse's real and imaginary amplitudes against the
-        # oracle's. Over all m blocks it runs at most three groups' worth of
-        # 2^8-term dot products (n * m <= 24), so INVERSE_AMP_TOL holds.
-        cck = compile_circuit(key_circuit(key), n)
-        for part, ref in ((state.amps.real, amps.real), (state.amps.imag, amps.imag)):
-            assert np.max(np.abs(_inverse(cck, part, m, pair) - ref)) <= INVERSE_AMP_TOL
-        bits = _read_basis_probs(np.abs(amps) ** 2, n * m, "joint register")
+        """The reference read: the gate-by-gate inverse, then the argmax
+        plus purity check."""
+        bits = _read_basis_probs(np.abs(mode2_gate_by_gate_inverse(key, state, pair)) ** 2, n * m, "joint register")
         chunks = [bits[i * n : (i + 1) * n] for i in range(m)]
         chunks[0] = format(int(chunks[0], 2) ^ int(iv, 2), f"0{n}b")
         return chunks
 
     def new_read(key, state, pair):
         c = modes.ModeConfig(modes.Mode.ENTANGLING, iv, pair)
-        back = modes.mode2_decrypt(key, modes.Transmission(modes.Mode.ENTANGLING, n, m, joint=state), c)
+        with _refuse_inverse():
+            back = modes.mode2_decrypt(key, modes.Transmission(modes.Mode.ENTANGLING, n, m, joint=state), c)
         return [p.bits for p in back]
-
-    def guess_read(key, state, pair):
-        """The guess-and-check read on its own: when it accepts, the
-        inverse's read gives the same bits; None otherwise."""
-        cck = compile_circuit(key_circuit(key), n)
-        bits = _guess_read(cck, state.amps, m, pair)
-        if bits is not None:
-            assert bits == _read(_inverse_probs(cck, state.amps, m, pair), n * m)
-        return bits
-
-    assert new_read(k, t.joint, pairing) == oracle_read(k, ref, pairing) == blocks
 
     amps = t.joint.amps
     flipped = amps.copy()
@@ -315,33 +315,27 @@ def test_compiled_mode2_matches_gate_by_gate(n, m, N, seed):
     theta[j] = (theta[j] + 1) % N
     wrong_key = CipherKey(n, N, tuple(theta), k.step3_pairs, k.step4_upstream_order)
     wrong_pairing = (pairing[1], pairing[0]) + pairing[2:]
-    # (key, state, pairing, IntegrityError guaranteed). With guarded angles
-    # (N >= 16) every rotation makes a superposition, so a sign flip, a key
-    # one grid step off or (with a second block to chain) a wrong pairing
-    # leaves no basis state; an imaginary part on the smallest amplitude
-    # never can. A global phase, or a factor 1j that leaves every real part
-    # zero, makes the register complex but still decrypts.
+    # (key, state, pairing, the outcome, or None where either may come).
+    # With guarded angles (N >= 16) every rotation makes a superposition, so
+    # a sign flip, a key one grid step off or (with a second block to chain)
+    # a wrong pairing leaves no basis state; an imaginary part on the
+    # smallest amplitude never can. A sign, a global phase, or a factor 1j
+    # that leaves every real part zero, makes no difference to the read.
     variants = [
-        (k, t.joint, pairing, False),
-        (k, StateVector(n * m, flipped), pairing, N >= 16),
-        (k, StateVector(n * m, perturbed), pairing, True),
-        (wrong_key, t.joint, pairing, N >= 16),
-        (k, t.joint, wrong_pairing, N >= 16 and m >= 2),
-        (k, StateVector(n * m, amps * np.exp(0.7j)), pairing, False),
-        (k, StateVector(n * m, amps * 1j), pairing, False),
+        (k, t.joint, pairing, blocks),
+        (k, StateVector(n * m, -amps), pairing, blocks),
+        (k, StateVector(n * m, amps * np.exp(0.7j)), pairing, blocks),
+        (k, StateVector(n * m, amps * 1j), pairing, blocks),
+        (k, StateVector(n * m, flipped), pairing, IntegrityError if N >= 16 else None),
+        (k, StateVector(n * m, perturbed), pairing, IntegrityError),
+        (wrong_key, t.joint, pairing, IntegrityError if N >= 16 else None),
+        (k, t.joint, wrong_pairing, IntegrityError if N >= 16 and m >= 2 else None),
     ]
-    for key, state, pair, must_fail in variants:
-        want = _mode2_outcome(lambda: oracle_read(key, state, pair))
-        got = _mode2_outcome(lambda: new_read(key, state, pair))
-        assert got == want
-        if must_fail:
-            assert got is IntegrityError
-            assert guess_read(key, state, pair) is None
-        elif N != 8 and got is not IntegrityError:
-            # Off the N = 8 grid every row of T has one largest entry,
-            # so a register that decrypts has its largest amplitude on the
-            # guess's chain and the check accepts.
-            assert guess_read(key, state, pair) is not None
+    for key, state, pair, expected in variants:
+        want = _outcome(lambda: oracle_read(key, state, pair))
+        assert _outcome(lambda: new_read(key, state, pair)) == want
+        if expected is not None:
+            assert want == expected
 
 
 def test_mode2_single_block_takes_the_block_path(monkeypatch):
@@ -370,20 +364,19 @@ def _mode2_message(n, m, N, seed):
     return k, cfg, blocks, modes.mode2_encrypt(k, blocks, cfg)
 
 
-def test_mode2_ties_on_the_unguarded_eighth_turn_grid_fall_back():
-    # N = 8 keys keep angles at odd multiples of pi/4, where |cos| = |sin|:
-    # a row of T then has tied largest amplitudes, the guess can miss, and
-    # the inverse must decide. Either way the plaintext comes back.
-    fallbacks = 0
+def test_mode2_ties_decrypt_without_the_inverse():
+    # N = 8 keys keep angles at multiples of pi/4, and at odd multiples
+    # |cos| = |sin|: a row of T then has tied largest amplitudes. Each bit's
+    # pair read is exact there too, so every message decrypts with the
+    # inverse refused. A 4-qubit key ties on some qubit with probability
+    # 15/16, so at least three quarters of the 60 keys must tie.
+    ties = 0
     for seed in range(60):
         k, cfg, blocks, t = _mode2_message(4, 3, 8, seed)
-        cc = compile_circuit(key_circuit(k), 4)
-        guess = _guess_read(cc, t.joint.amps, 3, cfg.mode2_pairing)
-        want = _read(_inverse_probs(cc, t.joint.amps, 3, cfg.mode2_pairing), 12)
-        assert guess in (None, want)
-        fallbacks += guess is None
-        assert modes.mode2_decrypt(k, t, cfg) == blocks
-    assert 0 < fallbacks < 60
+        ties += _ties(k)
+        with _refuse_inverse():
+            assert modes.mode2_decrypt(k, t, cfg) == blocks
+    assert ties >= 45
 
 
 def _forged(n, amps):
@@ -394,39 +387,32 @@ def _forged(n, amps):
     return state
 
 
-def test_mode2_nan_amplitude_fails_the_guess_and_the_inverse():
-    # The gate-by-gate oracle cannot take a NaN, and the inverse's read is
-    # the reference.
+def test_mode2_nan_amplitude_raises_without_the_inverse():
+    # The gate-by-gate oracle cannot take a NaN; any read of it is impure.
     k, cfg, blocks, t = _mode2_message(4, 2, 256, 21)
-    amps = t.joint.amps.copy()
-    amps[np.argmax(np.abs(amps))] = np.nan
-    state = _forged(8, amps)
-    cc = compile_circuit(key_circuit(k), 4)
-    assert _guess_read(cc, amps, 2, cfg.mode2_pairing) is None
-    assert _read(_inverse_probs(cc, amps, 2, cfg.mode2_pairing), 8) is IntegrityError
-    with pytest.raises(IntegrityError):
-        modes.mode2_decrypt(k, modes.Transmission(modes.Mode.ENTANGLING, 4, 2, joint=state), cfg)
+    for where in (np.argmax(np.abs(t.joint.amps)), np.argmin(np.abs(t.joint.amps))):
+        amps = t.joint.amps.copy()
+        amps[where] = np.nan
+        state = _forged(8, amps)
+        with _refuse_inverse(), pytest.raises(IntegrityError, match=r"\(impurity nan\)"):
+            modes.mode2_decrypt(k, modes.Transmission(modes.Mode.ENTANGLING, 4, 2, joint=state), cfg)
 
 
-def test_mode2_honest_register_decrypts_without_the_inverse(monkeypatch):
-    # The guess-and-check is what runs on an honest guarded message: with
-    # the inverse made to fail, the plaintext still comes back, while a
-    # tampered register, which must fall back, reaches the failing inverse.
-    def refuse(*args):
-        raise AssertionError("the inverse ran")
-
+def test_mode2_honest_register_decrypts_without_the_inverse():
+    # With the inverse made to fail, an honest guarded message decrypts and
+    # a tampered one raises IntegrityError: neither reaches the inverse.
     k, cfg, blocks, t = _mode2_message(8, 2, 256, 13)
-    monkeypatch.setattr("qcipher.cipher._inverse", refuse)
-    assert modes.mode2_decrypt(k, t, cfg) == blocks
     flipped = t.joint.amps.copy()
     flipped[np.argmax(np.abs(flipped))] *= -1.0
     tampered = modes.Transmission(modes.Mode.ENTANGLING, 8, 2, joint=StateVector(16, flipped))
-    with pytest.raises(AssertionError, match="the inverse ran"):
-        modes.mode2_decrypt(k, tampered, cfg)
+    with _refuse_inverse():
+        assert modes.mode2_decrypt(k, t, cfg) == blocks
+        with pytest.raises(IntegrityError, match="^joint register is not a computational basis state"):
+            modes.mode2_decrypt(k, tampered, cfg)
 
 
 # One block: decrypt_block, each block of mode1_decrypt and a single mode-2
-# block read by the same guess and check, with the inverse as fallback.
+# block, all read by the same pair read and check.
 
 
 def _single_block_decrypts(k, state):
@@ -443,15 +429,16 @@ def _single_block_decrypts(k, state):
 
 
 def _single_block_reads(k, state):
-    """Each one-block decrypt's bits or IntegrityError, checked against the
-    inverse's read and the guess on its own, and returned."""
+    """Each one-block decrypt's bits or IntegrityError, with the inverse
+    refused, checked against the inverse's read (and, up to 12 qubits and
+    for finite amplitudes, against the gate-by-gate inverse), and returned."""
     cc = compile_circuit(key_circuit(k), k.n)
-    want = _read(_inverse_probs(cc, state.amps), k.n)
-    got = [_mode2_outcome(decrypt) for decrypt in _single_block_decrypts(k, state)]
+    finite = bool(np.all(np.isfinite(state.amps)))
+    want = _inverse_read(key_circuit(k), state.amps, k.n) if finite and k.n <= 12 else _read(_inverse_probs(cc, state.amps), k.n)
+    with _refuse_inverse():
+        got = [_outcome(decrypt) for decrypt in _single_block_decrypts(k, state)]
     assert got == [want] * 3
-    guess = _guess_read(cc, state.amps)
-    assert guess in (None, want)
-    return want, guess
+    return want
 
 
 @pytest.mark.parametrize("theta", [0.3, 1.2, 2.0, 4.0])
@@ -467,8 +454,9 @@ def test_one_qubit_guess_matches_the_inverse(theta):
         nan = amps.copy()
         nan[0] = np.nan
         for state, want in ((amps, bits), (-amps, bits), (amps * 1j, bits), (flipped, None), (nan, None)):
-            assert _guess_read(cc, state) == want
             assert _read(_inverse_probs(cc, state), 1) == (want or IntegrityError)
+            with _refuse_inverse():
+                assert _outcome(lambda: _decrypt_bits(cc, state, "post-inverse state")) == (want or IntegrityError)
 
 
 @pytest.mark.parametrize("n", [*range(2, 13), 17, 18])
@@ -495,51 +483,74 @@ def test_single_block_reads_match_the_inverse(n):
         (k, cipher_state, bits),
         (k, StateVector(n, -amps), bits),
         (k, StateVector(n, amps * 1j), bits),
+        (k, StateVector(n, amps * np.exp(0.7j)), bits),
         (k, StateVector(n, flipped), IntegrityError),
         (k, StateVector(n, perturbed), IntegrityError),
         (k, _forged(n, nan), IntegrityError),
         (wrong, cipher_state, IntegrityError),
     ]
     for key, state, want in variants:
-        read, guess = _single_block_reads(key, state)
-        assert read == want
-        # Off the N = 8 grid a decryptable state's largest amplitude is the
-        # guess's, so the guess is accepted exactly when the read succeeds.
-        assert guess == (None if want is IntegrityError else want)
+        assert _single_block_reads(key, state) == want
 
 
-def test_single_block_ties_on_the_unguarded_eighth_turn_grid_fall_back():
-    # As for mode 2: on the N = 8 grid |cos| = |sin| ties can make the guess
-    # miss, and then the inverse gives the plaintext.
-    fallbacks = 0
+def test_single_block_ties_decrypt_without_the_inverse():
+    # As for mode 2: on the N = 8 grid |cos| = |sin| ties leave tied largest
+    # amplitudes, and the pair read still gives the plaintext. At least
+    # three quarters of the 40 keys must tie (each with probability 15/16).
+    ties = 0
     for seed in range(40):
         rng = np.random.default_rng(seed)
         k = generate_key(4, 8, rng)
+        ties += _ties(k)
         bits = "".join(str(b) for b in rng.integers(0, 2, size=4))
-        read, guess = _single_block_reads(k, encrypt_block(k, PlainBlock(bits)).state)
-        assert read == bits
-        fallbacks += guess is None
-    assert 0 < fallbacks < 40
+        assert _single_block_reads(k, encrypt_block(k, PlainBlock(bits)).state) == bits
+    assert ties >= 30
 
 
-def test_single_block_honest_reads_skip_the_inverse(monkeypatch):
-    # With the inverse made to fail, an honest guarded block still decrypts
-    # on all three paths, while a tampered one reaches the failing inverse.
-    def refuse(*args):
-        raise AssertionError("the inverse ran")
-
+def test_single_block_honest_reads_skip_the_inverse():
+    # With the inverse made to fail, an honest guarded block decrypts on all
+    # three paths, and a tampered one raises IntegrityError on all three.
     rng = np.random.default_rng(15)
     k = generate_key(10, 256, rng)
     bits = "".join(str(b) for b in rng.integers(0, 2, size=10))
     amps = encrypt_block(k, PlainBlock(bits)).state.amps
     flipped = amps.copy()
     flipped[np.argmax(np.abs(amps))] *= -1.0
-    monkeypatch.setattr("qcipher.cipher._inverse", refuse)
-    for decrypt in _single_block_decrypts(k, StateVector(10, amps)):
-        assert decrypt() == bits
-    for decrypt in _single_block_decrypts(k, StateVector(10, flipped)):
-        with pytest.raises(AssertionError, match="the inverse ran"):
-            decrypt()
+    with _refuse_inverse():
+        for decrypt in _single_block_decrypts(k, StateVector(10, amps)):
+            assert decrypt() == bits
+        for decrypt in _single_block_decrypts(k, StateVector(10, flipped)):
+            with pytest.raises(IntegrityError, match="is not a computational basis state"):
+                decrypt()
+
+
+def test_reads_at_the_cap_on_the_eighth_turn_grid():
+    # n = 24 on the N = 8 grid, where largest amplitudes tie: the honest
+    # block reads, as it does with noise orthogonal to it at impurity 5e-10,
+    # while noise at 2e-9 is past PURITY_TOL and raises. Each noisy state
+    # is built in place: at most four 2^24-entry arrays (128 MiB each) are
+    # alive at once.
+    rng = np.random.default_rng(24)
+    k = generate_key(24, 8, rng)
+    assert _ties(k)
+    p = PlainBlock("".join(str(b) for b in rng.integers(0, 2, size=24)))
+    honest = encrypt_block(k, p)
+    with _refuse_inverse():
+        assert decrypt_block(k, honest) == p
+        for impurity, want in ((5e-10, p.bits), (2e-9, IntegrityError)):
+            noise = rng.standard_normal(1 << 24)
+            noise -= (noise @ honest.state.amps) * honest.state.amps
+            noise *= np.sqrt(impurity) / np.linalg.norm(noise)
+            noise += np.sqrt(1.0 - impurity) * honest.state.amps
+            state = StateVector(24, noise)
+            del noise
+            assert _outcome(lambda: decrypt_block(k, CipherBlock(state)).bits) == want
+            del state
+        del honest
+        # Mode 2 at the cap: three blocks of 8 qubits.
+        k, cfg, blocks, t = _mode2_message(8, 3, 8, 24)
+        assert _ties(k)
+        assert modes.mode2_decrypt(k, t, cfg) == blocks
 
 
 # Magnitude ties (0.5, -0.5, 0.5j), NaN in either part, and inf.

@@ -481,3 +481,33 @@ def test_huge_counts_end_in_the_cap_error():
         StateVector(-(10**3000), [1.0])
     with pytest.raises(InputError, match="^joint register must hold exactly 8 qubits$"):
         Transmission(Mode.ENTANGLING, 4, 2, joint=basis_state(4, "0000"))
+
+
+def _m1_pair(block_qubits, carrier_qubits):
+    """A one-block measured-IV transmission of 4 qubits whose ciphertext
+    block and IV carrier have the given widths."""
+    return Transmission(
+        Mode.MEASURED, 4, 1, (CipherBlock(basis_state(block_qubits, "0" * block_qubits)),),
+        (basis_state(carrier_qubits, "0" * carrier_qubits),),
+    )
+
+
+def test_transmission_refuses_a_wide_ciphertext_block():
+    # mode1_decrypt used to fail on it with a bare ValueError from a reshape.
+    with pytest.raises(InputError, match="^every ciphertext block and IV carrier must hold exactly 4 qubits$"):
+        _m1_pair(5, 4)
+
+
+def test_transmission_refuses_a_wide_iv_carrier():
+    # Such a carrier used to decrypt the next block under a wrong chaining
+    # value, silently.
+    with pytest.raises(InputError, match="^every ciphertext block and IV carrier must hold exactly 4 qubits$"):
+        _m1_pair(4, 5)
+    assert _m1_pair(4, 4).m == 1
+
+
+def test_transmission_refuses_a_register_with_no_blocks():
+    # An entangling transmission of m = 0 used to take a register and drop it.
+    with pytest.raises(InputError, match="^joint register must hold exactly 0 qubits$"):
+        Transmission(Mode.ENTANGLING, 4, 0, joint=basis_state(4, "0000"))
+    assert Transmission(Mode.ENTANGLING, 4, 0).joint is None
