@@ -16,7 +16,6 @@ from .adversary import (
     detection_experiment,
     folded_angle,
     marginal_estimation_attack,
-    sampled_decrypt_bits,
 )
 from .analysis import (
     ConfusionReport,

@@ -3,11 +3,14 @@
 The intercept-resend adversary measures a transiting ciphertext in the
 computational basis and forwards the collapsed state. Experiments here
 model the receiver's read physically, as the inverse circuit followed by a
-sampled measurement: a single intercepted copy then slips through
-undetected exactly when the sampled read still reproduces the original
-plaintext, which happens with the collision probability sum(|c_b|^4).
-Sending r independent copies of a block amplifies detection to
-1 - (sum |c_b|^4)^r.
+sampled measurement. The inverse circuit is U^{(x)n} P_A^-1, since every
+rotation U is its own inverse, so its output has a closed form: on a basis
+state |y> it is the product state of input A^-1 y, and on the honest
+ciphertext it is the plaintext's basis state. A single intercepted copy
+then slips through undetected exactly when the sampled read still
+reproduces the original plaintext, which happens with the collision
+probability sum(|c_b|^4). Sending r independent copies of a block
+amplifies detection to 1 - (sum |c_b|^4)^r.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cipher import CipherBlock, PlainBlock, _check_block, _check_width, _encrypt_amps, _inverse_probs, encrypt_block
+from .cipher import CipherBlock, PlainBlock, _check_block, _check_width, _encrypt_amps, _kron, _unmix, encrypt_block
 from .errors import InputError, ResourceError
 from .keyschedule import CipherKey, CompiledCircuit, compile_circuit, enumerate_keys, key_circuit, keyspace_size
 from .keyschedule import _MAX_COUNT_LOG2, _check_count
@@ -98,19 +101,11 @@ def collision_probability(s: StateVector) -> float:
     return float(np.sum(np.abs(s.amps) ** 4))
 
 
-def _read_probs(cc: CompiledCircuit, amps: np.ndarray) -> np.ndarray:
-    """The receiver's read distribution: the inverse circuit's basis
-    probabilities, normalized."""
-    probs = _inverse_probs(cc, amps)
-    probs /= probs.sum()
-    return probs
-
-
-def sampled_decrypt_bits(k: CipherKey, state: StateVector, rng: np.random.Generator) -> str:
-    """The receiver's physical read: inverse circuit, then one measurement."""
-    _check_width(k.n, state)
-    probs = _read_probs(compile_circuit(key_circuit(k), k.n), state.amps)
-    return index_to_bits(int(rng.choice(probs.size, p=probs)), k.n)
+def _basis_read(cc: CompiledCircuit, unmix: np.ndarray, y: int) -> np.ndarray:
+    """The receiver's read distribution on the basis state |y>: the inverse
+    circuit U^{(x)n} P_A^-1 sends |y> to the product state of input
+    A^-1 y = ``unmix[y]``, and the read measures it."""
+    return np.square(_kron(cc.thetas, index_to_bits(int(unmix[y]), cc.n)))
 
 
 def detection_experiment(
@@ -133,15 +128,18 @@ def detection_experiment(
     _check_count_arg(trials * r, COPIES_CAP, "copies")
     ciphertext = encrypt_block(k, p).state
     collision = collision_probability(ciphertext)
-    cc = compile_circuit(key_circuit(k), k.n)
     target = int(p.bits, 2)
 
     # Each copy is two draws. Eve's draw is measure_all's on the ciphertext;
     # the receiver's depends only on her outcome, so each outcome's read
-    # distribution is computed once.
-    eve_probs = _born(ciphertext.amps)
+    # distribution is computed once. With Eve off the read returns the
+    # plaintext with certainty.
     reads: dict[int, np.ndarray] = {}
-    honest_probs = _read_probs(cc, ciphertext.amps)
+    if eve_on:
+        cc = compile_circuit(key_circuit(k), k.n)
+        eve_probs, unmix = _born(ciphertext.amps), _unmix(cc.cols)
+    else:
+        honest_probs = np.eye(1, 1 << k.n, target)[0]
 
     detections = 0
     copy_passes = 0
@@ -152,7 +150,7 @@ def detection_experiment(
             if eve_on:
                 seen = int(rng.choice(eve_probs.size, p=eve_probs))
                 if seen not in reads:
-                    reads[seen] = _read_probs(cc, np.eye(1, eve_probs.size, seen)[0])
+                    reads[seen] = _basis_read(cc, unmix, seen)
                 probs = reads[seen]
             else:
                 probs = honest_probs

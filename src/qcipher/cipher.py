@@ -58,11 +58,12 @@ def xor_bits(a: str, b: str) -> str:
 # The compiled path. On a basis input |x> the rotation layer yields the
 # product state sum_x prod_q u_q(x_q) |x>, and the CNOTs send |x> to |A x>.
 # Encryption builds that product with ``_kron`` and scatters it through A;
-# ``_inverse`` undoes both. Arrays are built by index doubling: appending
-# qubit q as the new least significant position keeps qubit 1 the most
-# significant.
+# decryption reads the product back from pairs of amplitudes gathered
+# through A. Arrays are built by index doubling: appending qubit q as the
+# new least significant position keeps qubit 1 the most significant.
 
-# Largest qubit group whose rotations the inverse applies as one matrix.
+# Largest qubit group whose product-state factors the read's check
+# contracts as one vector.
 _GROUP = 8
 
 
@@ -134,40 +135,10 @@ def _encrypt_table(cc: CompiledCircuit) -> np.ndarray:
 
 def _cuts(n: int) -> list[tuple[int, int]]:
     """The qubit slices [a, b) of the balanced groups of at most _GROUP
-    qubits that the inverse and the read's check take n qubits in."""
+    qubits in which the read's check contracts n qubits."""
     groups = -(-n // _GROUP)
     cuts = [n * g // groups for g in range(groups + 1)]
     return list(zip(cuts, cuts[1:]))
-
-
-def _inverse(cc: CompiledCircuit, part: np.ndarray) -> np.ndarray:
-    """The inverse circuit on one real array of one block: one gather undoes
-    A (the amplitude at x comes from A x), then the self-inverse rotation
-    layer runs as one matrix product per group of ``_cuts``."""
-    idx, mats = _basis_indices(cc.cols), [_kron(cc.thetas[a:b]) for a, b in _cuts(cc.n)]
-    part = np.take(part, idx)
-    inner = part.size
-    for mat in mats:
-        inner //= len(mat)
-        if inner == 1:
-            # On the last axis, one matrix product rather than one
-            # matrix-vector product per prefix.
-            part = part.reshape(-1, len(mat)) @ mat.T
-        else:
-            part = np.matmul(mat, part.reshape(-1, len(mat), inner))
-    return part.ravel()
-
-
-def _inverse_probs(cc: CompiledCircuit, amps: np.ndarray) -> np.ndarray:
-    """Basis probabilities after the inverse circuit. A complex array's real
-    and imaginary parts run as separate float64 arrays; a real one, as every
-    honest ciphertext is, runs once."""
-    re = _inverse(cc, amps.real)
-    probs = np.square(re, out=re)
-    if np.iscomplexobj(amps):
-        im = _inverse(cc, amps.imag)
-        probs += np.square(im, out=im)
-    return probs
 
 
 def _check_block(k: CipherKey, p: PlainBlock) -> None:

@@ -6,10 +6,13 @@ on a gate list and ``inverse_circuit``, lives here too: it runs the
 package's two gate kernels (``statevector._single_inplace`` and
 ``_cnot_inplace``) one gate at a time, as the library did before it ran
 every block on the compiled key, and the mode-2 references replay it on
-the joint register. The JSON readers at the end parse with json.loads, as
-the library did before its "amps" arrays were read in slices, and
-``PAIRS_BACKTRACKING`` is the reader's number-pair grammar with the
-backtracking quantifiers it had before they were made possessive.
+the joint register. So does the compiled inverse circuit, ``_inverse``,
+with the receiver's sampled read on it, ``sampled_decrypt_bits``, as the
+library ran them before its reads were put in closed form. The JSON
+readers at the end parse with json.loads, as the library did before its
+"amps" arrays were read in slices, and ``PAIRS_BACKTRACKING`` is the
+reader's number-pair grammar with the backtracking quantifiers it had
+before they were made possessive.
 """
 
 import json
@@ -18,8 +21,9 @@ import re
 
 import numpy as np
 
+from qcipher.cipher import _basis_indices, _check_width, _cuts, _kron
 from qcipher.errors import InputError, IntegrityError, ResourceError
-from qcipher.keyschedule import CipherKey, Cnot, SingleU, key_circuit
+from qcipher.keyschedule import CipherKey, Cnot, CompiledCircuit, SingleU, compile_circuit, key_circuit
 from qcipher.statevector import (
     MAX_QUBITS,
     NORM_TOL,
@@ -27,6 +31,7 @@ from qcipher.statevector import (
     _cnot_inplace,
     _single_inplace,
     basis_state,
+    index_to_bits,
     tensor,
 )
 
@@ -47,6 +52,51 @@ def inverse_circuit(k: CipherKey) -> list:
     """Decryption gate list: the key circuit reversed. Every gate is its
     own inverse (U(theta)^2 = I and CNOT^2 = I), so reversal suffices."""
     return list(reversed(key_circuit(k)))
+
+
+def _inverse(cc: CompiledCircuit, part: np.ndarray) -> np.ndarray:
+    """The inverse circuit on one real array of one block: one gather undoes
+    A (the amplitude at x comes from A x), then the self-inverse rotation
+    layer runs as one matrix product per group of ``cipher._cuts``."""
+    idx, mats = _basis_indices(cc.cols), [_kron(cc.thetas[a:b]) for a, b in _cuts(cc.n)]
+    part = np.take(part, idx)
+    inner = part.size
+    for mat in mats:
+        inner //= len(mat)
+        if inner == 1:
+            # On the last axis, one matrix product rather than one
+            # matrix-vector product per prefix.
+            part = part.reshape(-1, len(mat)) @ mat.T
+        else:
+            part = np.matmul(mat, part.reshape(-1, len(mat), inner))
+    return part.ravel()
+
+
+def _inverse_probs(cc: CompiledCircuit, amps: np.ndarray) -> np.ndarray:
+    """Basis probabilities after the inverse circuit. A complex array's real
+    and imaginary parts run as separate float64 arrays; a real one runs
+    once."""
+    re = _inverse(cc, amps.real)
+    probs = np.square(re, out=re)
+    if np.iscomplexobj(amps):
+        im = _inverse(cc, amps.imag)
+        probs += np.square(im, out=im)
+    return probs
+
+
+def read_probs(cc: CompiledCircuit, amps: np.ndarray) -> np.ndarray:
+    """The receiver's read distribution: the inverse circuit's basis
+    probabilities, normalized."""
+    probs = _inverse_probs(cc, amps)
+    probs /= probs.sum()
+    return probs
+
+
+def sampled_decrypt_bits(k: CipherKey, state: StateVector, rng: np.random.Generator) -> str:
+    """The receiver's physical read: inverse circuit, then one measurement."""
+    _check_width(k.n, state)
+    probs = read_probs(compile_circuit(key_circuit(k), k.n), state.amps)
+    return index_to_bits(int(rng.choice(probs.size, p=probs)), k.n)
 
 
 def u_matrix(theta: float) -> np.ndarray:
@@ -229,7 +279,10 @@ def _amps_oracle(n: object, amps_field: object) -> np.ndarray:
         raise InputError('each "amps" entry must be an [re, im] pair of numbers')
     pairs = np.array([[float(getattr(v, "text", v)) for v in pair] for pair in amps_field], dtype=np.float64)
     amps = pairs.view(np.complex128).ravel()
-    norm = float(np.sum(np.abs(amps) ** 2))
+    # An amplitude above about 1e154 squares to inf, which fails the check
+    # below as it should; the overflow itself is no error of the file.
+    with np.errstate(over="ignore"):
+        norm = float(np.sum(np.abs(amps) ** 2))
     if not abs(norm - 1.0) <= NORM_TOL:
         raise IntegrityError(f"statevector payload norm {norm!r} deviates from 1")
     return amps

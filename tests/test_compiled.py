@@ -1,5 +1,6 @@
 """The compiled path (rotation angles plus the GF(2) columns of A) against
-the gate-by-gate simulator it replaces in the block cipher and in mode 2."""
+the gate-by-gate simulator it replaces in the block cipher and in mode 2,
+and every decrypt's read against the oracles' compiled inverse."""
 
 from unittest import mock
 
@@ -9,6 +10,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    _inverse,
+    _inverse_probs,
     apply_circuit,
     basis_index_oracle,
     cnot_matrix,
@@ -25,8 +28,6 @@ from qcipher.cipher import (
     _encrypt_amps,
     _encrypt_table,
     _decrypt_bits,
-    _inverse,
-    _inverse_probs,
     _kron,
     _read_basis_probs,
     _unmix,
@@ -76,25 +77,17 @@ def _outcome(decrypt):
         return IntegrityError
 
 
-def _refuse_inverse():
-    """A context in which any run of the block cipher's inverse fails the
-    test: no decrypt may reach it."""
-    return mock.patch.object(cipher, "_inverse", side_effect=AssertionError("the inverse ran"))
-
-
 def _inverse_read(ops, amps, n):
-    """The compiled inverse of ``ops`` on ``amps`` against the reversed gate
-    list: real and imaginary amplitudes within INVERSE_AMP_TOL and the same
-    read, which is returned. The decrypt read gives it too, with the
-    inverse refused."""
+    """The oracle's compiled inverse of ``ops`` on ``amps`` against the
+    reversed gate list: real and imaginary amplitudes within INVERSE_AMP_TOL
+    and the same read, which is returned. The decrypt read gives it too."""
     ref = apply_circuit(StateVector(n, amps), list(reversed(ops))).amps
     cc = compile_circuit(ops, n)
     assert np.max(np.abs(_inverse(cc, amps.real) - ref.real)) <= INVERSE_AMP_TOL
     assert np.max(np.abs(_inverse(cc, amps.imag) - ref.imag)) <= INVERSE_AMP_TOL
     read = _read(_inverse_probs(cc, amps), n)
     assert read == _read(np.abs(ref) ** 2, n)
-    with _refuse_inverse():
-        assert _outcome(lambda: _decrypt_bits(cc, amps, "post-inverse state")) == read
+    assert _outcome(lambda: _decrypt_bits(cc, amps, "post-inverse state")) == read
     return read
 
 
@@ -300,8 +293,7 @@ def test_compiled_mode2_matches_gate_by_gate(n, m, N, seed):
 
     def new_read(key, state, pair):
         c = modes.ModeConfig(modes.Mode.ENTANGLING, iv, pair)
-        with _refuse_inverse():
-            back = modes.mode2_decrypt(key, modes.Transmission(modes.Mode.ENTANGLING, n, m, joint=state), c)
+        back = modes.mode2_decrypt(key, modes.Transmission(modes.Mode.ENTANGLING, n, m, joint=state), c)
         return [p.bits for p in back]
 
     amps = t.joint.amps
@@ -367,15 +359,15 @@ def _mode2_message(n, m, N, seed):
 def test_mode2_ties_decrypt_without_the_inverse():
     # N = 8 keys keep angles at multiples of pi/4, and at odd multiples
     # |cos| = |sin|: a row of T then has tied largest amplitudes. Each bit's
-    # pair read is exact there too, so every message decrypts with the
-    # inverse refused. A 4-qubit key ties on some qubit with probability
-    # 15/16, so at least three quarters of the 60 keys must tie.
+    # pair read is exact there too, so every message decrypts, with no
+    # inverse in the library to fall back on. A 4-qubit key ties on some
+    # qubit with probability 15/16, so at least three quarters of the 60
+    # keys must tie.
     ties = 0
     for seed in range(60):
         k, cfg, blocks, t = _mode2_message(4, 3, 8, seed)
         ties += _ties(k)
-        with _refuse_inverse():
-            assert modes.mode2_decrypt(k, t, cfg) == blocks
+        assert modes.mode2_decrypt(k, t, cfg) == blocks
     assert ties >= 45
 
 
@@ -394,21 +386,20 @@ def test_mode2_nan_amplitude_raises_without_the_inverse():
         amps = t.joint.amps.copy()
         amps[where] = np.nan
         state = _forged(8, amps)
-        with _refuse_inverse(), pytest.raises(IntegrityError, match=r"\(impurity nan\)"):
+        with pytest.raises(IntegrityError, match=r"\(impurity nan\)"):
             modes.mode2_decrypt(k, modes.Transmission(modes.Mode.ENTANGLING, 4, 2, joint=state), cfg)
 
 
 def test_mode2_honest_register_decrypts_without_the_inverse():
-    # With the inverse made to fail, an honest guarded message decrypts and
-    # a tampered one raises IntegrityError: neither reaches the inverse.
+    # An honest guarded message decrypts and a tampered one raises
+    # IntegrityError, both from the pair read and its check alone.
     k, cfg, blocks, t = _mode2_message(8, 2, 256, 13)
     flipped = t.joint.amps.copy()
     flipped[np.argmax(np.abs(flipped))] *= -1.0
     tampered = modes.Transmission(modes.Mode.ENTANGLING, 8, 2, joint=StateVector(16, flipped))
-    with _refuse_inverse():
-        assert modes.mode2_decrypt(k, t, cfg) == blocks
-        with pytest.raises(IntegrityError, match="^joint register is not a computational basis state"):
-            modes.mode2_decrypt(k, tampered, cfg)
+    assert modes.mode2_decrypt(k, t, cfg) == blocks
+    with pytest.raises(IntegrityError, match="^joint register is not a computational basis state"):
+        modes.mode2_decrypt(k, tampered, cfg)
 
 
 # One block: decrypt_block, each block of mode1_decrypt and a single mode-2
@@ -429,14 +420,13 @@ def _single_block_decrypts(k, state):
 
 
 def _single_block_reads(k, state):
-    """Each one-block decrypt's bits or IntegrityError, with the inverse
-    refused, checked against the inverse's read (and, up to 12 qubits and
-    for finite amplitudes, against the gate-by-gate inverse), and returned."""
+    """Each one-block decrypt's bits or IntegrityError, checked against the
+    oracle inverse's read (and, up to 12 qubits and for finite amplitudes,
+    against the gate-by-gate inverse), and returned."""
     cc = compile_circuit(key_circuit(k), k.n)
     finite = bool(np.all(np.isfinite(state.amps)))
     want = _inverse_read(key_circuit(k), state.amps, k.n) if finite and k.n <= 12 else _read(_inverse_probs(cc, state.amps), k.n)
-    with _refuse_inverse():
-        got = [_outcome(decrypt) for decrypt in _single_block_decrypts(k, state)]
+    got = [_outcome(decrypt) for decrypt in _single_block_decrypts(k, state)]
     assert got == [want] * 3
     return want
 
@@ -455,8 +445,7 @@ def test_one_qubit_guess_matches_the_inverse(theta):
         nan[0] = np.nan
         for state, want in ((amps, bits), (-amps, bits), (amps * 1j, bits), (flipped, None), (nan, None)):
             assert _read(_inverse_probs(cc, state), 1) == (want or IntegrityError)
-            with _refuse_inverse():
-                assert _outcome(lambda: _decrypt_bits(cc, state, "post-inverse state")) == (want or IntegrityError)
+            assert _outcome(lambda: _decrypt_bits(cc, state, "post-inverse state")) == (want or IntegrityError)
 
 
 @pytest.mark.parametrize("n", [*range(2, 13), 17, 18])
@@ -508,20 +497,19 @@ def test_single_block_ties_decrypt_without_the_inverse():
 
 
 def test_single_block_honest_reads_skip_the_inverse():
-    # With the inverse made to fail, an honest guarded block decrypts on all
-    # three paths, and a tampered one raises IntegrityError on all three.
+    # An honest guarded block decrypts on all three paths, and a tampered
+    # one raises IntegrityError on all three.
     rng = np.random.default_rng(15)
     k = generate_key(10, 256, rng)
     bits = "".join(str(b) for b in rng.integers(0, 2, size=10))
     amps = encrypt_block(k, PlainBlock(bits)).state.amps
     flipped = amps.copy()
     flipped[np.argmax(np.abs(amps))] *= -1.0
-    with _refuse_inverse():
-        for decrypt in _single_block_decrypts(k, StateVector(10, amps)):
-            assert decrypt() == bits
-        for decrypt in _single_block_decrypts(k, StateVector(10, flipped)):
-            with pytest.raises(IntegrityError, match="is not a computational basis state"):
-                decrypt()
+    for decrypt in _single_block_decrypts(k, StateVector(10, amps)):
+        assert decrypt() == bits
+    for decrypt in _single_block_decrypts(k, StateVector(10, flipped)):
+        with pytest.raises(IntegrityError, match="is not a computational basis state"):
+            decrypt()
 
 
 def test_reads_at_the_cap_on_the_eighth_turn_grid():
@@ -535,22 +523,21 @@ def test_reads_at_the_cap_on_the_eighth_turn_grid():
     assert _ties(k)
     p = PlainBlock("".join(str(b) for b in rng.integers(0, 2, size=24)))
     honest = encrypt_block(k, p)
-    with _refuse_inverse():
-        assert decrypt_block(k, honest) == p
-        for impurity, want in ((5e-10, p.bits), (2e-9, IntegrityError)):
-            noise = rng.standard_normal(1 << 24)
-            noise -= (noise @ honest.state.amps) * honest.state.amps
-            noise *= np.sqrt(impurity) / np.linalg.norm(noise)
-            noise += np.sqrt(1.0 - impurity) * honest.state.amps
-            state = StateVector(24, noise)
-            del noise
-            assert _outcome(lambda: decrypt_block(k, CipherBlock(state)).bits) == want
-            del state
-        del honest
-        # Mode 2 at the cap: three blocks of 8 qubits.
-        k, cfg, blocks, t = _mode2_message(8, 3, 8, 24)
-        assert _ties(k)
-        assert modes.mode2_decrypt(k, t, cfg) == blocks
+    assert decrypt_block(k, honest) == p
+    for impurity, want in ((5e-10, p.bits), (2e-9, IntegrityError)):
+        noise = rng.standard_normal(1 << 24)
+        noise -= (noise @ honest.state.amps) * honest.state.amps
+        noise *= np.sqrt(impurity) / np.linalg.norm(noise)
+        noise += np.sqrt(1.0 - impurity) * honest.state.amps
+        state = StateVector(24, noise)
+        del noise
+        assert _outcome(lambda: decrypt_block(k, CipherBlock(state)).bits) == want
+        del state
+    del honest
+    # Mode 2 at the cap: three blocks of 8 qubits.
+    k, cfg, blocks, t = _mode2_message(8, 3, 8, 24)
+    assert _ties(k)
+    assert modes.mode2_decrypt(k, t, cfg) == blocks
 
 
 # Magnitude ties (0.5, -0.5, 0.5j), NaN in either part, and inf.

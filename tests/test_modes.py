@@ -294,6 +294,19 @@ def test_transmission_json_round_trip_mode2():
     assert mode2_decrypt(k, back, cfg) == blocks_of("101100", "010011", "111111")
 
 
+@pytest.mark.parametrize("mode", [Mode.MEASURED, Mode.ENTANGLING])
+def test_empty_transmission_round_trips(mode):
+    # m = 0 is a file of either mode with an empty payload; it reads back
+    # as the same transmission and decrypts to no blocks.
+    k = key6(23)
+    cfg = ModeConfig(mode, "000000")
+    text = transmission_to_json(encrypt(k, [], cfg, np.random.default_rng(0)))
+    back = transmission_from_json(text)
+    assert (back.mode, back.n, back.m) == (mode, 6, 0)
+    assert transmission_to_json(back) == text
+    assert decrypt(k, back, cfg) == []
+
+
 def test_transmission_built_in_code_round_trips():
     # Blocks made as CipherBlock(state) carry index 0 and tag "raw"; the
     # file takes each entry's tag and index from the payload layout.

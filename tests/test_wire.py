@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -163,6 +163,10 @@ SIZES = [{"_CHUNK": statevector._CHUNK}, {"_CHUNK": 1}, {"_CHUNK": 13}]
 
 
 @given(base=st.integers(0, len(CORPUS) - 1), ops=OPS, sizes=st.sampled_from(SIZES))
+# Splices that make an amplitude above 1e154, whose square overflows: the
+# statevector reader and its oracle must both give IntegrityError.
+@example(base=2, ops=[("insert", 1159, 83249)], sizes=SIZES[0])
+@example(base=0, ops=[("insert", 1209, 160), ("insert", 150, 161)], sizes=SIZES[0])
 @settings(max_examples=400, deadline=None)
 def test_reader_agrees_with_the_json_oracle_on_mutated_files(base, ops, sizes):
     text = _mutate(CORPUS[base], ops)
