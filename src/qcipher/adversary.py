@@ -122,8 +122,7 @@ def detection_experiment(
     plaintext; the protocol detects tampering when any copy fails. With
     Eve off the channel is noiseless and nothing is ever flagged.
     """
-    if r < 1:
-        raise InputError("repetitions must be >= 1")
+    _check_count_arg(r, COPIES_CAP, "repetitions")
     _check_count_arg(trials, TRIALS_CAP, "trials")
     _check_count_arg(trials * r, COPIES_CAP, "copies")
     ciphertext = encrypt_block(k, p).state
@@ -205,7 +204,7 @@ def marginal_estimation_attack(
     rotation layer as in the ablation.
     """
     _check_count_arg(samples, SAMPLES_CAP, "samples")
-    _check_block(k, p)
+    _check_block(k.n, p)
     cc = compile_circuit(key_circuit(k, through_step=1 if step1_only else 4), k.n)
     probs = _born(_encrypt_amps(cc, p.bits))
     draws = rng.choice(probs.size, size=samples, p=probs)
@@ -234,8 +233,7 @@ def brute_force_key_recovery(
     if size > BRUTE_FORCE_CAP:
         raise ResourceError(f"keyspace of {size} keys exceeds the {BRUTE_FORCE_CAP} enumeration cap")
     plaintext, ciphertext = known
-    if plaintext.n != n:
-        raise InputError(f"plaintext length {plaintext.n} does not match key block size {n}")
+    _check_block(n, plaintext)
     _check_width(n, ciphertext.state)
     consistent = []
     for key in enumerate_keys(n, N):

@@ -9,19 +9,26 @@ Three views of the same question, "who influences whom":
   target's modulo 2, so marks the two already share cancel), which is the
   GF(2) matrix A of ``keyschedule.compile_circuit``, read out by
   ``parity_dependences``,
-* numeric perturbation probes that re-encrypt with altered key angles or
-  flipped plaintext bits and watch the per-qubit measurement marginals.
+* closed-form probes on A that alter key angles or flip plaintext bits and
+  watch the per-qubit measurement marginals move.
 
-For every key circuit (a rotation layer followed by CNOTs) the numeric
+The probes need no simulation. On a basis input |p> the rotation layer
+makes a product state whose qubit j has Z expectation
+z_j = (-1)^{p_j} cos(2 theta_j), and the CNOTs make ciphertext qubit m+1 the
+parity of the inputs in row m of A, so it reads 0 with probability
+(1 + prod_{j in row m} z_j)/2 (``_marginals``).
+
+For every key circuit (a rotation layer followed by CNOTs) the probe
 matrices equal ``parity_dependences``, which is always a subset of
 ``symbolic_dependences``, up to the probe threshold: a probe with threshold
 epsilon misses a dependence whose marginal shift is at most epsilon. That
-happens for 10 of 2,000 guarded random keys at n = 10, N = 256 with the
-default epsilon. The union view is far from exact: at n = 8 it is all-true
-and agrees with the numeric matrix on only about 54% of entries.
+happens for 4 of 2,000 guarded random keys at n = 10, N = 256 with the
+default epsilon (65 of 20,000; keys of ``generate_key`` seeded 0, random
+plaintexts). The union view is far from exact: at n = 8 it is all-true
+and agrees with the probe matrix on only about 54% of entries.
 
 The probes run on the compiled circuit (``keyschedule.compile_circuit``):
-its CNOT network is compiled once, and each probe only swaps angles or
+A is read once as rows (``_rows``), and each probe only swaps angles or
 plaintext bits. Every angle probe goes through ``_probe``.
 """
 
@@ -29,12 +36,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .adversary import TRIALS_CAP, _check_count_arg
-from .cipher import PlainBlock, _check_block, _encrypt_amps, xor_bits
+from .cipher import PlainBlock, _check_block
 from .errors import InputError
 from .keyschedule import (
     CipherKey,
@@ -46,7 +53,6 @@ from .keyschedule import (
     grid_angle,
     key_circuit,
 )
-from .statevector import _marginals_of
 
 DEFAULT_EPSILON = 1e-6
 DEFAULT_GRID = 8
@@ -135,15 +141,20 @@ def parity_dependences(circuit: list[GateOp], n: int) -> DependenceMatrix:
     per qubit followed by CNOTs only (every key circuit has this shape);
     any other gate list raises InputError, since the exact law has no
     meaning for it. For such circuits each qubit's 0-probability is
-    (1 +- prod cos(2 theta_j))/2 over exactly this row's angles, so for
-    guarded angles these entries coincide with the numeric probe matrix,
-    except where a dependence moves the marginal by no more than the
-    probe's epsilon (10 of 2,000 guarded n = 10 keys at the default
-    epsilon). Always a subset of ``symbolic_dependences``.
+    (1 + prod z_j)/2 over exactly this row (``_marginals``), so these
+    entries coincide with the probe matrices, except where a dependence
+    moves the marginal by no more than the probe's epsilon (4 of 2,000
+    guarded n = 10 keys at the default epsilon). Always a subset of
+    ``symbolic_dependences``.
     """
-    cols = compile_circuit(circuit, n).cols
-    entries = np.array([[col >> (n - 1 - m) & 1 for col in cols] for m in range(n)], dtype=bool)
-    return DependenceMatrix(n, entries)
+    return DependenceMatrix(n, _rows(compile_circuit(circuit, n)))
+
+
+def _rows(cc: CompiledCircuit) -> np.ndarray:
+    """A as an (n, n) boolean matrix: entry (m, j) is set when input qubit
+    j+1 is in the parity that ciphertext qubit m+1 carries."""
+    n = cc.n
+    return np.array([[col >> (n - 1 - m) & 1 for col in cc.cols] for m in range(n)], dtype=bool)
 
 
 def _check_probe(epsilon: float, grid: int = DEFAULT_GRID) -> None:
@@ -161,14 +172,19 @@ def perturbation_indices(base: int, N: int, grid: int) -> list[int]:
     return [(base + off) % N for off in offsets]
 
 
-def _marginals(cc: CompiledCircuit, bits: str) -> np.ndarray:
-    """Per-qubit 0-probabilities of the compiled circuit applied to |bits>."""
-    return _marginals_of(_encrypt_amps(cc, bits), cc.n)
+def _z(thetas: tuple[float, ...] | list[float], bits: str) -> np.ndarray:
+    """The Z expectation of each rotated input, (-1)^{p_j} cos(2 theta_j),
+    for angles ``thetas`` on input bits ``bits``."""
+    signs = np.array([1.0 if b == "0" else -1.0 for b in bits])
+    return signs * np.cos(2.0 * np.asarray(thetas, dtype=float))
 
 
-def _with_angle(cc: CompiledCircuit, j: int, theta: float) -> CompiledCircuit:
-    """The same circuit with the rotation on qubit j+1 set to ``theta``."""
-    return replace(cc, thetas=cc.thetas[:j] + (theta,) + cc.thetas[j + 1 :])
+def _marginals(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Per-qubit 0-probabilities of the circuit with A's rows ``rows`` on
+    inputs with Z expectations ``z``, over the last axis of ``z``:
+    ciphertext qubit m+1 reads 0 with probability (1 + prod_j z_j)/2 over
+    row m, since it carries the parity of independent inputs."""
+    return (1.0 + np.prod(np.where(rows, z[..., None, :], 1.0), axis=-1)) / 2.0
 
 
 def _probe(cc: CompiledCircuit, bits: str, alternates: list[list[float]], epsilon: float) -> np.ndarray:
@@ -176,14 +192,17 @@ def _probe(cc: CompiledCircuit, bits: str, alternates: list[list[float]], epsilo
 
     Entry (m, j) of the (n, n) boolean result is set when some angle in
     ``alternates[j]``, put in place of theta_j with the other angles fixed,
-    moves the marginal of qubit m+1 by more than ``epsilon``. Each
-    alternate costs one encryption; it shows in every row at once.
+    moves the marginal of qubit m+1 by more than ``epsilon``. The
+    alternates of one angle are rows of one z array, read by one
+    closed-form call on A's rows; each shows in every qubit at once.
     """
-    base = _marginals(cc, bits)
+    rows, z = _rows(cc), _z(cc.thetas, bits)
+    base = _marginals(rows, z)
     entries = np.zeros((cc.n, cc.n), dtype=bool)
     for j, thetas in enumerate(alternates):
-        for theta in thetas:
-            entries[:, j] |= np.abs(_marginals(_with_angle(cc, j, theta), bits) - base) > epsilon
+        zs = np.tile(z, (len(thetas), 1))
+        zs[:, j] = _z(thetas, bits[j] * len(thetas))
+        entries[:, j] = np.any(np.abs(_marginals(rows, zs) - base) > epsilon, axis=0)
     return entries
 
 
@@ -198,11 +217,11 @@ def numeric_dependence_matrix(
 
     Entry (m, j) is set when replacing theta_j with any of ``grid``
     alternative grid values (all other angles fixed) shifts the marginal of
-    ciphertext qubit m+1 by more than ``epsilon``. Each probe re-runs the
-    whole encryption on the compiled circuit with one angle swapped.
+    ciphertext qubit m+1 by more than ``epsilon``. Each probe reads the
+    marginals in closed form from A with one angle swapped (``_probe``).
     """
     _check_probe(epsilon, grid)
-    _check_block(k, p)
+    _check_block(k.n, p)
     cc = compile_circuit(key_circuit(k, through_step), k.n)
     alternates = [
         [grid_angle(alt, k.N) for alt in perturbation_indices(index, k.N, grid)]
@@ -228,20 +247,19 @@ def diffusion_profile(
     """Flip each plaintext bit and count the ciphertext marginals that move.
 
     Passing means every single-bit flip disturbs at least half of the
-    qubits' measurement statistics. The change matrix equals
-    ``parity_dependences`` of the circuit, whose columns often fall below
-    n/2, so many full-circuit keys fail this verdict and
-    ``qcipher analyze --kind diffusion`` exits 1 for them.
+    qubits' measurement statistics. Flipping bit j negates z_j, so all n
+    flips are read in one closed-form call on A's rows, row j of
+    z (1 - 2I) for bit j. The change matrix equals ``parity_dependences``
+    of the circuit, whose columns often fall below n/2, so many
+    full-circuit keys fail this verdict and ``qcipher analyze --kind
+    diffusion`` exits 1 for them.
     """
     _check_probe(epsilon)
-    _check_block(k, p)
+    _check_block(k.n, p)
     cc = compile_circuit(key_circuit(k, through_step), k.n)
-    base = _marginals(cc, p.bits)
-    change = np.zeros((k.n, k.n), dtype=bool)
-    for j in range(k.n):
-        flip = xor_bits(p.bits, "".join("1" if i == j else "0" for i in range(k.n)))
-        flipped = _marginals(cc, flip)
-        change[:, j] = np.abs(flipped - base) > epsilon
+    rows, z = _rows(cc), _z(cc.thetas, p.bits)
+    flipped = _marginals(rows, z * (1.0 - 2.0 * np.eye(k.n)))
+    change = (np.abs(flipped - _marginals(rows, z)) > epsilon).T
     counts = tuple(int(c) for c in change.sum(axis=0))
     return DiffusionProfile(k.n, counts, epsilon, change)
 

@@ -141,10 +141,10 @@ def _cuts(n: int) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
-def _check_block(k: CipherKey, p: PlainBlock) -> None:
-    """The one check of a plaintext block against the key's block size."""
-    if p.n != k.n:
-        raise InputError(f"plaintext length {p.n} does not match key block size {k.n}")
+def _check_block(n: int, p: PlainBlock) -> None:
+    """The one check of a plaintext block against the key's block size n."""
+    if p.n != n:
+        raise InputError(f"plaintext length {p.n} does not match key block size {n}")
 
 
 def _check_width(n: int, state: StateVector) -> None:
@@ -155,7 +155,7 @@ def _check_width(n: int, state: StateVector) -> None:
 
 def encrypt_block(k: CipherKey, p: PlainBlock) -> CipherBlock:
     """Run the full key circuit on the encoded plaintext (deterministic)."""
-    _check_block(k, p)
+    _check_block(k.n, p)
     amps = _encrypt_amps(compile_circuit(key_circuit(k), k.n), p.bits)
     return CipherBlock(_owned(k.n, amps))
 

@@ -174,17 +174,13 @@ def apply_cnot(s: StateVector, control: int, target: int) -> StateVector:
     return _owned(s.n, out)
 
 
-def _marginals_of(amps: np.ndarray, n: int) -> np.ndarray:
-    probs = np.abs(amps) ** 2
-    out = np.empty(n)
-    for q in range(1, n + 1):
-        out[q - 1] = probs.reshape(1 << (q - 1), 2, -1)[:, 0, :].sum()
-    return out
-
-
 def marginals(s: StateVector) -> np.ndarray:
     """Vector of per-qubit probabilities of measuring 0."""
-    return _marginals_of(s.amps, s.n)
+    probs = np.abs(s.amps) ** 2
+    out = np.empty(s.n)
+    for q in range(1, s.n + 1):
+        out[q - 1] = probs.reshape(1 << (q - 1), 2, -1)[:, 0, :].sum()
+    return out
 
 
 def _born(amps: np.ndarray) -> np.ndarray:

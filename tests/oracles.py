@@ -8,7 +8,11 @@ package's two gate kernels (``statevector._single_inplace`` and
 every block on the compiled key, and the mode-2 references replay it on
 the joint register. So does the compiled inverse circuit, ``_inverse``,
 with the receiver's sampled read on it, ``sampled_decrypt_bits``, as the
-library ran them before its reads were put in closed form. The JSON
+library ran them before its reads were put in closed form, and the
+simulated marginals and probe shifts (``simulated_marginals``,
+``simulated_probe_shifts``, ``simulated_flip_shifts``), read from the full
+ciphertext as the analysis suite read them before its probes were put in
+closed form on A. The JSON
 readers at the end parse with json.loads, as the library did before its
 "amps" arrays were read in slices, and ``PAIRS_BACKTRACKING`` is the
 reader's number-pair grammar with the backtracking quantifiers it had
@@ -18,10 +22,11 @@ before they were made possessive.
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 
-from qcipher.cipher import _basis_indices, _check_width, _cuts, _kron
+from qcipher.cipher import _basis_indices, _check_width, _cuts, _encrypt_amps, _kron
 from qcipher.errors import InputError, IntegrityError, ResourceError
 from qcipher.keyschedule import CipherKey, Cnot, CompiledCircuit, SingleU, compile_circuit, key_circuit
 from qcipher.statevector import (
@@ -32,6 +37,7 @@ from qcipher.statevector import (
     _single_inplace,
     basis_state,
     index_to_bits,
+    marginals,
     tensor,
 )
 
@@ -175,6 +181,37 @@ def brute_marginal_p0(amps: np.ndarray, n: int, q: int) -> float:
         if (b >> (n - q)) & 1 == 0:
             total += abs(amps[b]) ** 2
     return total
+
+
+def simulated_marginals(cc: CompiledCircuit, bits: str) -> np.ndarray:
+    """Per-qubit 0-probabilities of the compiled circuit on |bits>, summed
+    per qubit over its full 2^n ciphertext (``cipher._encrypt_amps``)."""
+    return marginals(StateVector(cc.n, _encrypt_amps(cc, bits)))
+
+
+def simulated_probe_shifts(cc: CompiledCircuit, bits: str, alternates) -> np.ndarray:
+    """(n, n) array: entry (m, j) is the largest move of qubit m+1's simulated
+    marginal when theta_j is replaced by an angle in ``alternates[j]``, one
+    encryption per alternate. An angle probe with threshold epsilon sets
+    exactly the entries above epsilon."""
+    base = simulated_marginals(cc, bits)
+    shifts = np.zeros((cc.n, cc.n))
+    for j, thetas in enumerate(alternates):
+        for theta in thetas:
+            alt = replace(cc, thetas=cc.thetas[:j] + (theta,) + cc.thetas[j + 1 :])
+            shifts[:, j] = np.maximum(shifts[:, j], np.abs(simulated_marginals(alt, bits) - base))
+    return shifts
+
+
+def simulated_flip_shifts(cc: CompiledCircuit, bits: str) -> np.ndarray:
+    """(n, n) array: entry (m, j) is the move of qubit m+1's simulated
+    marginal when plaintext bit j+1 flips, one encryption per flip."""
+    base = simulated_marginals(cc, bits)
+    shifts = np.empty((cc.n, cc.n))
+    for j in range(cc.n):
+        flip = bits[:j] + ("1" if bits[j] == "0" else "0") + bits[j + 1 :]
+        shifts[:, j] = np.abs(simulated_marginals(cc, flip) - base)
+    return shifts
 
 
 def reduced_purity(state: StateVector, keep: list[int]) -> float:

@@ -6,7 +6,11 @@ import pytest
 
 from qcipher.analysis import (
     DEFAULT_EPSILON,
+    DEFAULT_GRID,
+    _marginals,
     _probe,
+    _rows,
+    _z,
     confusion_check,
     diffusion_profile,
     numeric_dependence_matrix,
@@ -16,10 +20,10 @@ from qcipher.analysis import (
     symbolic_dependences,
     verify_dependence_rules,
 )
-from oracles import apply_circuit
+from oracles import apply_circuit, simulated_flip_shifts, simulated_marginals, simulated_probe_shifts
 from qcipher.cipher import PlainBlock
 from qcipher.errors import InputError
-from qcipher.keyschedule import Cnot, SingleU, compile_circuit, generate_key, key_circuit
+from qcipher.keyschedule import Cnot, SingleU, compile_circuit, generate_key, grid_angle, key_circuit
 from qcipher.statevector import basis_state, marginals
 from test_keyschedule import canonical_key
 
@@ -335,3 +339,60 @@ def test_grid_one_alone_would_see_no_dependence():
     cc = compile_circuit(key_circuit(k), 4)
     half_turn = [[theta + math.pi] for theta in cc.thetas]
     assert not _probe(cc, "0110", half_turn, DEFAULT_EPSILON).any()
+
+
+# The closed form on A against the simulated marginals of tests/oracles.py,
+# with bounds fixed before measuring: marginals agree within 1e-12, and the
+# probes' entries agree with the simulated shifts against epsilon except
+# where a shift lies within 0.1% of epsilon.
+MARGINAL_TOL = 1e-12
+UNDECIDED = 1e-3
+
+
+def assert_probe_agrees(got, shifts, epsilon=DEFAULT_EPSILON):
+    decided = np.abs(shifts - epsilon) > UNDECIDED * epsilon
+    assert np.array_equal(got & decided, (shifts > epsilon) & decided)
+
+
+def assert_marginals_agree(cc, bits):
+    got = _marginals(_rows(cc), _z(cc.thetas, bits))
+    assert np.max(np.abs(got - simulated_marginals(cc, bits))) <= MARGINAL_TOL
+
+
+def random_bits(rng, n):
+    return "".join(str(b) for b in rng.integers(0, 2, size=n))
+
+
+@pytest.mark.parametrize("N", [8, 16, 256])
+@pytest.mark.parametrize("n", range(2, 11))
+def test_closed_form_probes_match_simulation(n, N):
+    # N = 8 puts every cos(2 theta) at 0 or +-1, where a marginal shift is
+    # either nothing or large.
+    rng = np.random.default_rng([n, N])
+    for through_step in (1, 2, 3, 4):
+        k = generate_key(n, N, rng)
+        p = PlainBlock(random_bits(rng, n))
+        cc = compile_circuit(key_circuit(k, through_step), n)
+        assert_marginals_agree(cc, p.bits)
+        alternates = [
+            [grid_angle(alt, N) for alt in perturbation_indices(index, N, DEFAULT_GRID)]
+            for index in k.theta_indices
+        ]
+        assert_probe_agrees(
+            numeric_dependence_matrix(k, p, through_step=through_step).entries,
+            simulated_probe_shifts(cc, p.bits, alternates),
+        )
+        assert_probe_agrees(
+            diffusion_profile(k, p, through_step=through_step).change_matrix,
+            simulated_flip_shifts(cc, p.bits),
+        )
+    for _ in range(3):
+        thetas = [grid_angle(int(i), N) for i in rng.integers(0, N, size=n)]
+        cnots = [Cnot(*(int(q) + 1 for q in rng.choice(n, size=2, replace=False)))
+                 for _ in range(int(rng.integers(0, 3 * n + 1)))]
+        cc = compile_circuit(layer(thetas) + cnots, n)
+        bits = random_bits(rng, n)
+        assert_marginals_agree(cc, bits)
+        alternates = [list(rng.uniform(0.0, 2.0 * math.pi, size=3)) for _ in range(n)]
+        assert_probe_agrees(_probe(cc, bits, alternates, DEFAULT_EPSILON),
+                            simulated_probe_shifts(cc, bits, alternates))
