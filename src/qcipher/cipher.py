@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,24 +178,68 @@ def _read_basis_probs(probs: np.ndarray, n: int, what: str) -> str:
     return index_to_bits(index, n)
 
 
-# Amplitudes per slice of ``_argmax_abs``: 512 KiB of float64, 1 MiB of
-# complex128.
+# Amplitudes per slice of a pass over a register (``_argmax_abs`` and the
+# mode-2 read): 512 KiB of float64, 1 MiB of complex128. Each step of a
+# pass works on one slice while it sits in cache, and no register-sized
+# temporary is made (128 MiB at the cap).
 _ARGMAX_SLICE = 1 << 16
 
 
+def _peak(part: np.ndarray) -> float:
+    """The largest |x| of a slice, or NaN if it holds a NaN. A float64 slice
+    is read by its max and min, with no array of magnitudes."""
+    if np.iscomplexobj(part):
+        return float(np.abs(part).max())
+    # max keeps its first argument unless the second is larger, so a NaN max
+    # (which a NaN anywhere in the slice gives) comes back as NaN.
+    return float(max(part.max(), -part.min()))
+
+
+def _first_at(part: np.ndarray, mag: float) -> int:
+    """The first index of a slice where |x| is ``mag``, its ``_peak``, or the
+    first NaN when that is NaN."""
+    if np.iscomplexobj(part):
+        return int(np.argmax(np.abs(part)))
+    # The first x = mag is the first max and the first x = -mag the first
+    # min; argmax and argmin both give the first NaN of a slice holding one.
+    hits = [int(np.argmax(part)), int(np.argmin(part))]
+    return min((i for i in hits if abs(part[i]) == mag), default=hits[0])
+
+
+def _slice_argmax(slices: Iterable[tuple[int, np.ndarray]]) -> int:
+    """``np.argmax(np.abs(amps))`` of the amplitudes that ``slices`` gives as
+    (first index, flat slice), in order: the first slice holding the
+    largest magnitude is searched again for its first such index. Ties keep
+    the first maximum, and the first NaN wins, as in numpy."""
+    top, best, hold = 0, -1.0, None
+    for a, part in slices:
+        # A NaN, once found, stays the answer; the later slices are still
+        # taken, for what the caller does with each.
+        if best == best:
+            mag = _peak(part)
+            if not mag <= best:
+                top, best, hold = a, mag, part
+    return top + _first_at(hold, best)
+
+
 def _argmax_abs(amps: np.ndarray) -> int:
-    """``np.argmax(np.abs(amps))`` over slices of _ARGMAX_SLICE amplitudes,
-    so no register-sized temporary of magnitudes is made (128 MiB at the
-    cap). Ties keep the first maximum, and the first NaN wins, as in numpy."""
-    top, best = 0, -1.0
-    for a in range(0, amps.size, _ARGMAX_SLICE):
-        mags = np.abs(amps[a : a + _ARGMAX_SLICE])
-        i = int(np.argmax(mags))
-        if np.isnan(mags[i]):
-            return a + i
-        if mags[i] > best:
-            top, best = a + i, mags[i]
-    return top
+    """``np.argmax(np.abs(amps))`` over slices of _ARGMAX_SLICE amplitudes."""
+    return _slice_argmax((a, amps[a : a + _ARGMAX_SLICE]) for a in range(0, amps.size, _ARGMAX_SLICE))
+
+
+def _row_slices(n: int, total: int) -> list[tuple[int, tuple[slice, slice]]]:
+    """A mode-2 register of ``total`` amplitudes, viewed as (prefix, y, 2^n)
+    with y the next-to-last block, in slices of about _ARGMAX_SLICE
+    amplitudes, in order: each is whole prefixes or a run of y rows of one
+    prefix, so it is contiguous. Each is given as (first amplitude, index
+    into that view)."""
+    size, per = 1 << n, max(1, _ARGMAX_SLICE >> n)
+    k, cols = max(1, per >> n), min(per, size)
+    return [
+        ((j * size + y) << n, (slice(j, j + k), slice(y, y + cols)))
+        for j in range(0, total >> (2 * n), k)
+        for y in range(0, size, cols)
+    ]
 
 
 def _pair_read(cc: CompiledCircuit, g: np.ndarray, x: int) -> int:
@@ -231,6 +276,14 @@ def _decrypt_bits(cc: CompiledCircuit, amps: np.ndarray, what: str, m: int = 1, 
     x = A^-1 y_1, and the index is z_1 (that is p_1 ^ iv) followed by the
     p_i.
 
+    The register is read once: the argmax and the last block's contraction
+    share one pass, slice by slice (``_row_slices``). p_m is guessed there
+    from the row at the peak of the first nonzero slice, and read again at
+    y once the pass is done. An honest register gives the same p_m at both;
+    where the two differ, as a tampered register may, the last block is
+    contracted again with the rows of the p_m read at y, so every index
+    and product is the one above.
+
     Check: the circuit U is unitary, so the index's post-inverse
     probability is |<Up|psi>|^2 (Nielsen & Chuang, section 2.1). The later
     blocks' contractions above are its first steps; block 1's gathered row
@@ -254,17 +307,40 @@ def _decrypt_bits(cc: CompiledCircuit, amps: np.ndarray, what: str, m: int = 1, 
     if m > 1:
         # m >= 2 means n <= 12 under the cap, so T, pi, A and A^-1 fit.
         table, pi, idx, unmix = _encrypt_table(cc), _pairing_map(n, pairing), _basis_indices(cc.cols), _unmix(cc.cols)
-        top = _argmax_abs(amps)
-        ys = [top >> (n * (m - 1 - i)) & (size - 1) for i in range(m)]
+
+        def read(v: np.ndarray, i: int, at: int) -> int:
+            """p_i, read from block i's row of v at the register index ``at``."""
+            y, prev = (at >> (n * (m - 1 - j)) & (size - 1) for j in (i, i - 1))
+            row = v.reshape(-1, size, width)[at >> (n * (m - i))]
+            return _pair_read(cc, np.take(row, idx, axis=0), int(unmix[y])) ^ int(pi[prev])
+
+        # The register as (prefix, y_{m-1}, y_m): amplitudes and values.
+        grid, vals = amps.reshape(-1, size, size), v.reshape(-1, size, size, width)
+        cuts = _row_slices(n, amps.size)
+        a, key = next(((a, key) for a, key in cuts if _peak(grid[key].ravel()) > 0), cuts[0])
+        guess = read(v, m - 1, _slice_argmax([(a, grid[key].ravel())]))
+        out = np.empty((len(grid), size, 1, width))
+
+        def contracted(rows: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+            # Each slice is contracted once its peak is read, still in cache.
+            for a, key in cuts:
+                yield a, grid[key].ravel()
+                np.matmul(rows[key[1]], vals[key], out=out[key])
+
+        # The guessed rows (128 MiB at n = 12) go with the spent generator,
+        # before any second contraction.
+        top = _slice_argmax(contracted(table[guess ^ pi][:, None, :]))
         for i in range(m - 1, 0, -1):
-            row = v.reshape(-1, size, width)[top >> (n * (m - i))]
-            index[i] = _pair_read(cc, np.take(row, idx, axis=0), int(unmix[ys[i]])) ^ int(pi[ys[i - 1]])
-            v = np.matmul(table[index[i] ^ pi][:, None, :], v.reshape(-1, size, size, width))
+            index[i] = read(v, i, top)
+            # The last block is contracted again only if its guess was wrong.
+            if i < m - 1 or index[i] != guess:
+                out = np.matmul(table[index[i] ^ pi][:, None, :], v.reshape(-1, size, size, width))
+            v = out
     # A's index array is not kept past this gather: at n = 18, holding it
     # to the end took the read from 2.7 to 3.1 ms (median of 300 calls on
     # a 2-core x86_64 box), through how the freed arrays are reused.
     g = np.take(v.reshape(size, width), _basis_indices(cc.cols), axis=0)
-    index[0] = _pair_read(cc, g, int(unmix[ys[0]]) if m > 1 else _argmax_abs(g.view(amps.dtype).ravel()))
+    index[0] = _pair_read(cc, g, int(unmix[top >> (n * (m - 1))]) if m > 1 else _argmax_abs(g.view(amps.dtype).ravel()))
     first = index_to_bits(index[0], n)
     for a, b in _cuts(n):
         g = _kron(cc.thetas[a:b], first[a:b]) @ g.reshape(1 << (b - a), -1)

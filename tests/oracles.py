@@ -12,7 +12,8 @@ library ran them before its reads were put in closed form, and the
 simulated marginals and probe shifts (``simulated_marginals``,
 ``simulated_probe_shifts``, ``simulated_flip_shifts``), read from the full
 ciphertext as the analysis suite read them before its probes were put in
-closed form on A. The JSON
+closed form on A. ``two_pass_mode2_bits`` is the mode-2 read as it ran
+before its argmax and its last block's contraction shared one pass. The JSON
 readers at the end parse with json.loads, as the library did before its
 "amps" arrays were read in slices, and ``PAIRS_BACKTRACKING`` is the
 reader's number-pair grammar with the backtracking quantifiers it had
@@ -26,7 +27,18 @@ from dataclasses import replace
 
 import numpy as np
 
-from qcipher.cipher import _basis_indices, _check_width, _cuts, _encrypt_amps, _kron
+from qcipher.cipher import (
+    _basis_indices,
+    _check_pure,
+    _check_width,
+    _cuts,
+    _encrypt_amps,
+    _encrypt_table,
+    _kron,
+    _pair_read,
+    _pairing_map,
+    _unmix,
+)
 from qcipher.errors import InputError, IntegrityError, ResourceError
 from qcipher.keyschedule import CipherKey, Cnot, CompiledCircuit, SingleU, compile_circuit, key_circuit
 from qcipher.statevector import (
@@ -263,6 +275,32 @@ def mode2_gate_by_gate_inverse(k: CipherKey, joint: StateVector, pairing) -> np.
         joint = apply_circuit(joint, _chain_cnots(n, i, pairing))
     return apply_circuit(joint, inv).amps
 
+
+
+def two_pass_mode2_bits(cc: CompiledCircuit, amps: np.ndarray, what: str, m: int, pairing) -> str:
+    """The mode-2 read (m >= 2) as the library ran it before the argmax and
+    the last block's contraction shared one pass: the argmax of the whole
+    register first, then, from the last block to the first, each block's
+    pair read at it and the contraction of the block's axis with the rows
+    T[p_i ^ pi], and block 1's read and check as in ``_decrypt_bits``."""
+    n, size, width = cc.n, 1 << cc.n, 2 if np.iscomplexobj(amps) else 1
+    v = amps.view(np.float64)
+    table, pi, idx, unmix = _encrypt_table(cc), _pairing_map(n, pairing), _basis_indices(cc.cols), _unmix(cc.cols)
+    top = int(np.argmax(np.abs(amps)))
+    ys = [top >> (n * (m - 1 - i)) & (size - 1) for i in range(m)]
+    index = [0] * m
+    for i in range(m - 1, 0, -1):
+        row = v.reshape(-1, size, width)[top >> (n * (m - i))]
+        index[i] = _pair_read(cc, np.take(row, idx, axis=0), int(unmix[ys[i]])) ^ int(pi[ys[i - 1]])
+        v = np.matmul(table[index[i] ^ pi][:, None, :], v.reshape(-1, size, size, width))
+    g = np.take(v.reshape(size, width), idx, axis=0)
+    index[0] = _pair_read(cc, g, int(unmix[ys[0]]))
+    first = index_to_bits(index[0], n)
+    for a, b in _cuts(n):
+        g = _kron(cc.thetas[a:b], first[a:b]) @ g.reshape(1 << (b - a), -1)
+    overlap = complex(*g)
+    _check_pure(1.0 - (overlap.real**2 + overlap.imag**2), what)
+    return "".join(index_to_bits(p, n) for p in index)
 
 # The reader's grammar for one or more [re, im] number pairs as it was
 # before its quantifiers were possessive: plain greedy repetitions, which

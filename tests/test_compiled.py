@@ -18,6 +18,7 @@ from oracles import (
     kron_oracle,
     mode2_gate_by_gate,
     mode2_gate_by_gate_inverse,
+    two_pass_mode2_bits,
 )
 from qcipher import cipher, modes
 from qcipher.cipher import (
@@ -29,6 +30,7 @@ from qcipher.cipher import (
     _encrypt_table,
     _decrypt_bits,
     _kron,
+    _pairing_map,
     _read_basis_probs,
     _unmix,
     decrypt_block,
@@ -390,6 +392,63 @@ def test_mode2_nan_amplitude_raises_without_the_inverse():
             modes.mode2_decrypt(k, modes.Transmission(modes.Mode.ENTANGLING, 4, 2, joint=state), cfg)
 
 
+def _message_outcome(read):
+    """Decrypted bits, or IntegrityError with its message."""
+    try:
+        return read()
+    except IntegrityError as exc:
+        return IntegrityError, str(exc)
+
+
+@pytest.mark.parametrize("step", [1, 64, cipher._ARGMAX_SLICE])
+@pytest.mark.parametrize("n, m", [(3, 3), (4, 3), (4, 2), (6, 2)])
+def test_one_pass_mode2_read_matches_two_passes(n, m, step):
+    # The argmax and the last block's contraction share one pass, slice by
+    # slice, with p_m guessed at the first nonzero slice. Each read's bits,
+    # or its IntegrityError and message, equal the two-pass read's, and its
+    # bits or error class equal the gate-by-gate inverse's. At step 1 each
+    # slice is one row of the last block; at 64 it is 8 rows (n = 3) to one
+    # (n = 6); at the default the register is one slice.
+    k, cfg, blocks, t = _mode2_message(n, m, 256, 3100 + 10 * n + m)
+    cc, size, amps = compile_circuit(key_circuit(k), n), 1 << n, t.joint.amps
+    flipped = amps.copy()
+    flipped[np.argmax(np.abs(amps))] *= -1.0
+    # Row 0 of the last block, the first slice at step 1, replaced by a
+    # weaker row of another input: p_m guessed there is wrong.
+    foreign = amps.copy()
+    row = _encrypt_table(cc)[int(blocks[-1].bits, 2) ^ int(_pairing_map(n, cfg.mode2_pairing)[0]) ^ 1]
+    foreign[:size] = row * (0.5 * np.max(np.abs(amps[size:])) / np.max(np.abs(row)))
+    foreign /= np.linalg.norm(foreign)
+    nan = amps.copy()
+    nan[amps.size // 2] = np.nan
+    perturbed = amps.astype(np.complex128)
+    perturbed[np.argmin(np.abs(amps))] += 0.1j
+    perturbed /= np.linalg.norm(perturbed)
+    registers = {
+        "honest": amps,
+        "flipped": flipped,
+        "foreign": foreign,
+        "nan": nan,
+        "phase": amps * np.exp(0.7j),
+        "perturbed": perturbed,
+    }
+    for name, reg in registers.items():
+        with mock.patch.object(cipher, "_ARGMAX_SLICE", step), mock.patch.object(np, "matmul", wraps=np.matmul) as spy:
+            got = _message_outcome(lambda: _decrypt_bits(cc, reg, "joint register", m, cfg.mode2_pairing))
+        assert got == _message_outcome(lambda: two_pass_mode2_bits(cc, reg, "joint register", m, cfg.mode2_pairing))
+        if name != "nan":
+            inverse = np.abs(mode2_gate_by_gate_inverse(k, StateVector(n * m, reg), cfg.mode2_pairing)) ** 2
+            want = _outcome(lambda: _read_basis_probs(inverse, n * m, "joint register"))
+            assert (got if isinstance(got, str) else got[0]) == want
+        # The sliced pass passes ``out``; only the redo contracts the whole
+        # register in one product.
+        redone = any("out" not in c.kwargs and c.args[1].size == reg.view(np.float64).size for c in spy.call_args_list)
+        if name in ("honest", "phase"):
+            assert not redone
+        if name == "foreign" and step == 1:
+            assert redone
+
+
 def test_mode2_honest_register_decrypts_without_the_inverse():
     # An honest guarded message decrypts and a tampered one raises
     # IntegrityError, both from the pair read and its check alone.
@@ -547,6 +606,25 @@ _AMPS = [0.0, 0.5, -0.5, 0.5j, 1.0, -1j, np.nan, complex(0.0, np.nan), np.inf]
 @given(st.lists(st.sampled_from(_AMPS), min_size=1, max_size=40), st.integers(1, 8))
 def test_sliced_argmax_matches_numpy(values, step):
     amps = np.array(values, dtype=complex)
+    with mock.patch.object(cipher, "_ARGMAX_SLICE", step):
+        assert _argmax_abs(amps) == int(np.argmax(np.abs(amps)))
+
+
+# Magnitude ties (+-0.5, +-0.0), the extremes (+-inf, NaN) and any other
+# float64 value.
+_REALS = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, np.inf, -np.inf, np.nan]), st.floats())
+
+
+@given(st.lists(_REALS, min_size=1, max_size=40), st.integers(1, 8))
+@example([0.0, -0.0, 0.0, -0.0, 0.0], 2)  # all zero
+@example([0.25, -0.5, 0.5, 0.5], 3)  # a tie of -x and x in one slice: the first
+@example([0.5, 0.25, -0.5, 0.5], 2)  # a tie across slices: the first
+@example([0.25, -np.inf, 1.0, np.inf], 3)  # -inf before inf
+@example([1.0, 0.5, -np.nan, np.nan, np.inf], 2)  # the first NaN, whatever its sign
+def test_sliced_argmax_matches_numpy_on_real_amplitudes(values, step):
+    # A float64 register is read by each slice's max and min, with no array
+    # of magnitudes; the index is still numpy's.
+    amps = np.array(values, dtype=np.float64)
     with mock.patch.object(cipher, "_ARGMAX_SLICE", step):
         assert _argmax_abs(amps) == int(np.argmax(np.abs(amps)))
 

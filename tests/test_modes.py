@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from oracles import reduced_purity
 from qcipher.cipher import CipherBlock, PlainBlock, encrypt_block, xor_bits
 from qcipher.errors import InputError, IntegrityError, ResourceError
-from qcipher import modes
+from qcipher import cipher, modes
 from qcipher.keyschedule import CipherKey, generate_key
 from qcipher.modes import (
     Mode,
@@ -458,6 +459,19 @@ def test_mode2_register_is_built_and_read_without_a_copy():
     assert out == blocks
     assert encrypt_peak <= 1.25 * register, encrypt_peak / register
     assert decrypt_peak <= 1.25 * register, decrypt_peak / register
+
+
+def test_mode2_encrypt_refuses_a_nan_in_the_multiplied_rows():
+    # A NaN in the rows of the key's table that the later blocks multiply
+    # in makes the register's norm NaN, which _seal refuses.
+    def nan_table(cc):
+        table = cipher._encrypt_table(cc)
+        table[:, -1] = np.nan
+        return table
+
+    k = generate_key(4, 256, np.random.default_rng(43))
+    with mock.patch.object(modes, "_encrypt_table", nan_table), pytest.raises(InputError, match="^squared norm nan"):
+        mode2_encrypt(k, blocks_of("0110", "1011", "0001"), ModeConfig(Mode.ENTANGLING, "1001"))
 
 
 def test_statevector_owns_a_read_only_buffer():
