@@ -185,25 +185,33 @@ def _read_basis_probs(probs: np.ndarray, n: int, what: str) -> str:
 _ARGMAX_SLICE = 1 << 16
 
 
-def _peak(part: np.ndarray) -> float:
-    """The largest |x| of a slice, or NaN if it holds a NaN. A float64 slice
-    is read by its max and min, with no array of magnitudes."""
+def _peak(part: np.ndarray) -> tuple[float, float, float]:
+    """The largest |x| of a slice, or NaN if it holds a NaN, with the max
+    and min it was read from. A float64 slice is read by its max and min,
+    with no array of magnitudes; a complex slice by the max of its np.abs,
+    with 0 for its min."""
     if np.iscomplexobj(part):
-        return float(np.abs(part).max())
+        hi, lo = float(np.abs(part).max()), 0.0
+    else:
+        hi, lo = float(part.max()), float(part.min())
     # max keeps its first argument unless the second is larger, so a NaN max
     # (which a NaN anywhere in the slice gives) comes back as NaN.
-    return float(max(part.max(), -part.min()))
+    return max(hi, -lo), hi, lo
 
 
-def _first_at(part: np.ndarray, mag: float) -> int:
-    """The first index of a slice where |x| is ``mag``, its ``_peak``, or the
-    first NaN when that is NaN."""
+def _first_at(part: np.ndarray, hi: float, lo: float) -> int:
+    """The first index of a slice where |x| is its ``_peak``, from the max
+    and min that gave it, or the first NaN when that is NaN."""
     if np.iscomplexobj(part):
         return int(np.argmax(np.abs(part)))
-    # The first x = mag is the first max and the first x = -mag the first
-    # min; argmax and argmin both give the first NaN of a slice holding one.
-    hits = [int(np.argmax(part)), int(np.argmin(part))]
-    return min((i for i in hits if abs(part[i]) == mag), default=hits[0])
+    # The first x = peak is the first max and the first x = -peak the first
+    # min; each is searched for only if it is the peak. argmax gives the
+    # first NaN of a slice holding one.
+    mag = max(hi, -lo)
+    hits = [int(np.argmax(part))] if not hi < mag else []
+    if -lo == mag:
+        hits.append(int(np.argmin(part)))
+    return min(hits)
 
 
 def _slice_argmax(slices: Iterable[tuple[int, np.ndarray]]) -> int:
@@ -216,10 +224,10 @@ def _slice_argmax(slices: Iterable[tuple[int, np.ndarray]]) -> int:
         # A NaN, once found, stays the answer; the later slices are still
         # taken, for what the caller does with each.
         if best == best:
-            mag = _peak(part)
+            mag, hi, lo = _peak(part)
             if not mag <= best:
-                top, best, hold = a, mag, part
-    return top + _first_at(hold, best)
+                top, best, hold = a, mag, (part, hi, lo)
+    return top + _first_at(*hold)
 
 
 def _argmax_abs(amps: np.ndarray) -> int:
@@ -317,7 +325,7 @@ def _decrypt_bits(cc: CompiledCircuit, amps: np.ndarray, what: str, m: int = 1, 
         # The register as (prefix, y_{m-1}, y_m): amplitudes and values.
         grid, vals = amps.reshape(-1, size, size), v.reshape(-1, size, size, width)
         cuts = _row_slices(n, amps.size)
-        a, key = next(((a, key) for a, key in cuts if _peak(grid[key].ravel()) > 0), cuts[0])
+        a, key = next(((a, key) for a, key in cuts if _peak(grid[key].ravel())[0] > 0), cuts[0])
         guess = read(v, m - 1, _slice_argmax([(a, grid[key].ravel())]))
         out = np.empty((len(grid), size, 1, width))
 

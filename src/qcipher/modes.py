@@ -179,7 +179,7 @@ def mode2_encrypt(k: CipherKey, blocks: list[PlainBlock], cfg: ModeConfig) -> Tr
     at (y_1, ..., y_m) is T[p_1 ^ iv, y_1] * prod_i T[p_i ^ pi(y_{i-1}), y_i]
     for the key's table T (row z = ciphertext of input z). The first block
     is the block cipher's output; each later one costs one row gather from
-    T and one broadcast multiply; T and pi are built once per message.
+    T and one broadcast multiply.
     """
     _check_mode(k, cfg, Mode.ENTANGLING, blocks)
     m = len(blocks)
@@ -188,13 +188,12 @@ def mode2_encrypt(k: CipherKey, blocks: list[PlainBlock], cfg: ModeConfig) -> Tr
     _check_n(m * k.n)
     cc = compile_circuit(key_circuit(k), k.n)
     amps = _encrypt_amps(cc, xor_bits(blocks[0].bits, cfg.iv))
-    if m > 1:
-        # m >= 2 means n <= 12 under the cap, so T and pi fit. Every later
-        # block's rows are gathered in one go, so T (128 MiB at n = 12) is
-        # freed before the first product.
+    for p in blocks[1:]:
+        # A later block means m >= 2, so n <= 12 under the cap. T and pi
+        # are built per block: at m >= 3, n <= 8 and each takes well under
+        # a millisecond.
         pi = _pairing_map(k.n, cfg.mode2_pairing)  # type: ignore[arg-type]
-        for rows in _encrypt_table(cc)[[int(p.bits, 2) ^ pi for p in blocks[1:]]]:
-            amps = (amps.reshape(-1, 1 << k.n, 1) * rows).ravel()
+        amps = (amps.reshape(-1, 1 << k.n, 1) * _encrypt_table(cc)[int(p.bits, 2) ^ pi]).ravel()
     return Transmission(Mode.ENTANGLING, k.n, m, joint=_owned(m * k.n, amps))
 
 

@@ -28,13 +28,16 @@ def _trees(tmp_path):
     return parent, change
 
 
-def _fake(calls):
-    def run(tree, workload, seed, seconds):
-        calls.append((tree.name, workload, seed, seconds))
-        op, setup = (PARENT_OPS[seed], 0.2) if tree.name == "parent" else (CHANGE_OPS[seed], 0.3)
+def _fake(calls, parent_ops=PARENT_OPS, change_ops=CHANGE_OPS, change_run=None):
+    def run(tree, workload, seed):
+        calls.append((tree.name, workload, seed))
+        op, setup = (parent_ops[seed], 0.2) if tree.name == "parent" else (change_ops[seed], 0.3)
         values = {"op_p50_s": op, "peak_rss_mb": 168.0, "setup_s": setup}
         metrics = {name: {"value": v} for name, v in values.items()}
-        return {"exit": 0, "correct": True, "attempted": 200, "failed": 0, "metrics": metrics}
+        result = {"exit": 0, "correct": True, "attempted": 200, "failed": 0, "metrics": metrics}
+        if tree.name == "change" and change_run:
+            result.update(change_run.get(seed, {}))
+        return result
 
     return run
 
@@ -45,14 +48,14 @@ def test_pairs_alternate_and_the_file_holds_every_run(tmp_path, capsys):
     argv = ["--parent", str(parent), "--change", str(change), "--label", "t", "--workload", "m2-cap"]
     assert bench_pairs.main(argv + ["--seeds", "1-10", "--claim", "op_p50_s falls"], runner=_fake(calls)) == 0
     # Parent first in odd pairs, change first in even ones.
-    assert [(side, seed) for side, _, seed, _ in calls[:6]] == [
+    assert [(side, seed) for side, _, seed in calls[:6]] == [
         ("parent", 1), ("change", 1), ("change", 2), ("parent", 2), ("parent", 3), ("change", 3)
     ]
-    assert {(workload, seconds) for _, workload, _, seconds in calls} == {("m2-cap", 15.0)}
+    assert {workload for _, workload, _ in calls} == {"m2-cap"}
     doc = json.loads((change / "BENCH_t.json").read_text())
     assert list(doc) == KEYS
     assert doc["claim"] == "op_p50_s falls"
-    assert doc["command"] == "python3 bench/run.py --workload W --seed S --seconds 15 --trace 0"
+    assert doc["command"] == "python3 bench/run.py --workload W --seed S --trace 0"
     first = doc["rounds"]["m2-cap"]["change"][1]
     assert first == {"seed": 2, "first": "change", "exit": 0, "correct": True, "attempted": 200, "failed": 0,
                      "op_p50_s": 0.066, "peak_rss_mb": 168.0, "setup_s": 0.3}
@@ -73,7 +76,7 @@ def test_pairs_alternate_and_the_file_holds_every_run(tmp_path, capsys):
     # keeps the claim.
     calls.clear()
     assert bench_pairs.main(argv + ["--seeds", "11,12"], runner=_fake(calls)) == 0
-    order = [(side, seed) for side, _, seed, _ in calls]
+    order = [(side, seed) for side, _, seed in calls]
     assert order == [("parent", 11), ("change", 11), ("change", 12), ("parent", 12)]
     doc = json.loads((change / "BENCH_t.json").read_text())
     assert doc["claim"] == "op_p50_s falls"
@@ -86,3 +89,34 @@ def test_too_few_pairs_claim_nothing(tmp_path, capsys):
     argv = ["--parent", str(parent), "--change", str(change), "--label", "t", "--workload", "block", "--seeds", "1-3"]
     assert bench_pairs.main(argv, runner=_fake([])) == 0
     assert capsys.readouterr().out.splitlines()[0].endswith(": too few pairs to claim a gain")
+
+
+def _verdict(tmp_path, capsys, **fake):
+    """The first verdict line of ten fresh pairs."""
+    root = tmp_path / str(len(list(tmp_path.iterdir())))
+    root.mkdir()
+    parent, change = _trees(root)
+    argv = ["--parent", str(parent), "--change", str(change), "--label", "t", "--workload", "m2-cap", "--seeds", "1-10"]
+    assert bench_pairs.main(argv, runner=_fake([], **fake)) == 0
+    return capsys.readouterr().out.splitlines()[0]
+
+
+def test_a_failing_change_run_shows_no_gain(tmp_path, capsys):
+    # The change wins 9 of 10 pairs by more than the parent's IQR, as above,
+    # but one of its runs exited 1, or was wrong, or its runs failed more
+    # operations than the parent's.
+    for bad in ({"exit": 1}, {"correct": False}, {"failed": 1}):
+        line = _verdict(tmp_path, capsys, change_run={4: bad})
+        assert "change better in 9 of 10 pairs" in line
+        assert line.endswith(": change runs failed"), (bad, line)
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved(tmp_path, capsys):
+    # Parent quartiles 0.06 and 0.12: an IQR of 0.06 against 25 % of a
+    # 0.09 median.
+    wide = {seed: (0.06, 0.12)[seed % 2] for seed in range(1, 11)}
+    line = _verdict(tmp_path, capsys, parent_ops=wide)
+    assert line.endswith(": unresolved: the parent's IQR exceeds its bound of 25%"), line
+    # Unless every change run beats every parent run.
+    line = _verdict(tmp_path, capsys, parent_ops=wide, change_ops={seed: 0.05 for seed in range(1, 11)})
+    assert line.endswith(": no gain shown"), line

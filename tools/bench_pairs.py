@@ -6,16 +6,25 @@ runs as a root ``BENCH_<label>.json`` and print each metric's verdict.
 
 Pair i (counted from 1) runs the parent first when i is odd and the change
 first when it is even. Each side runs ``bench/run.py --workload W --seed S
---seconds T --trace 0`` from the root of its own tree. The end-to-end metrics
-and their bounds are read from the change tree's ``BENCHMARK.json``. An
-existing output file keeps its runs and gets the new ones, so the workloads
-can be run one at a time. For each workload and metric the script prints
-the pairs the change won (ties count for neither), both medians, the gap
-between them and the parent's interquartile distance. A gain is shown when,
-over at least ten pairs, the change wins at least nine pairs in ten and its
-median is better by more than that distance. A regression is flagged when
-the change's median is worse than the parent's by more than the metric's
-bound.
+--trace 0`` from the root of its own tree, for the benchmark's own run length.
+The end-to-end metrics and their bounds are read from the change tree's
+``BENCHMARK.json``. An existing output file keeps its runs and gets the new
+ones, so the workloads can be run one at a time. For each workload and
+metric the script prints the pairs the change won (ties count for neither),
+both medians, the gap between them and the parent's interquartile distance,
+then what they show, the first that holds of:
+
+- "change runs failed": a change run exited non-zero or was not correct, or
+  the change's runs failed more operations than the parent's;
+- "unresolved": the parent's interquartile distance exceeds the metric's
+  bound times its median, and the runs of the two sides overlap;
+- "too few pairs to claim a gain": fewer than ten pairs;
+- "gain shown" if the change wins at least nine pairs in ten and its median
+  is better by more than the parent's interquartile distance, else "no gain
+  shown".
+
+A regression is flagged as well when the change's median is worse than the
+parent's by more than the metric's bound.
 
 Standard library only.
 """
@@ -37,17 +46,13 @@ ORDER = (
     "see first. Each side runs from its own copy of the tree"
 )
 QUARTILES = "statistics.quantiles(n=4, method='inclusive') over the runs of each side"
+COMMAND = "python3 bench/run.py --workload W --seed S --trace 0"
 
 
-def _command(seconds: float) -> str:
-    return f"python3 bench/run.py --workload W --seed S --seconds {seconds:g} --trace 0"
-
-
-def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def bench_run(tree: Path, workload: str, seed: int) -> dict:
     """One untraced benchmark run from ``tree``: its exit code and the JSON
     object on the last line of its output (empty if there is none)."""
-    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -71,15 +76,14 @@ def _record(result: dict, seed: int, first: str, metrics: dict) -> dict:
     }
 
 
-def run_pairs(trees: dict, workload: str, seeds: list[int], seconds: float, metrics: dict,
-              runner=bench_run, start: int = 1) -> dict:
+def run_pairs(trees: dict, workload: str, seeds: list[int], metrics: dict, runner=bench_run, start: int = 1) -> dict:
     """The runs of one pair per seed, as {side: [record, ...]}; ``start`` is
     the position of the first pair, which sets which side runs first."""
     rounds: dict = {side: [] for side in SIDES}
     for pos, seed in enumerate(seeds, start):
         first = SIDES[(pos - 1) % 2]
         for side in (first, SIDES[1 - SIDES.index(first)]):
-            rounds[side].append(_record(runner(trees[side], workload, seed, seconds), seed, first, metrics))
+            rounds[side].append(_record(runner(trees[side], workload, seed), seed, first, metrics))
             print(f"{workload} seed {seed} {side}: " + json.dumps(rounds[side][-1]), file=sys.stderr)
     return rounds
 
@@ -90,9 +94,10 @@ def _stats(values: list[float]) -> dict:
 
 
 def summarize(rounds: dict, metrics: dict) -> dict:
-    """Per workload and metric: each side's median and quartiles, and the
-    pairs in which the change was strictly better. A run without the
-    metric's value is left out of both."""
+    """Per workload and metric: each side's median and quartiles, the pairs
+    in which the change was strictly better, and whether every change run
+    was better, or every one worse, than every parent run. A run without
+    the metric's value is left out of both."""
     summary: dict = {}
     for workload, sides in rounds.items():
         summary[workload] = {}
@@ -101,27 +106,43 @@ def summarize(rounds: dict, metrics: dict) -> dict:
                      if p[name] is not None and c[name] is not None]
             if not pairs:
                 continue
-            lower = spec["better"] == "lower"
+            sign = 1.0 if spec["better"] == "lower" else -1.0
+            parents, changes = [sign * p for p, _ in pairs], [sign * c for _, c in pairs]
             summary[workload][name] = {
                 "parent": _stats([p for p, _ in pairs]),
                 "change": _stats([c for _, c in pairs]),
-                "change_better_pairs": sum((c < p) if lower else (c > p) for p, c in pairs),
+                "change_better_pairs": sum(c < p for p, c in zip(parents, changes)),
+                "separated": max(changes) < min(parents) or min(changes) > max(parents),
             }
     return summary
 
 
-def verdicts(summary: dict, metrics: dict) -> list[str]:
+def _failed(rounds: dict) -> bool:
+    """Whether a change run exited non-zero or was not correct, or the
+    change's runs failed more operations than the parent's."""
+    change = rounds["change"]
+    if any(r["exit"] != 0 or not r["correct"] for r in change):
+        return True
+    return sum(r["failed"] or 0 for r in change) > sum(r["failed"] or 0 for r in rounds["parent"])
+
+
+def verdicts(rounds: dict, summary: dict, metrics: dict) -> list[str]:
     """One line per workload and metric: wins, medians, gap, parent IQR and
-    what they show."""
+    what they show (see the module's docstring)."""
     lines = []
     for workload, per_metric in summary.items():
+        failed = _failed(rounds[workload])
         for name, s in per_metric.items():
             spec, parent, change = metrics[name], s["parent"], s["change"]
             runs, wins = parent["runs"], s["change_better_pairs"]
             sign = 1.0 if spec["better"] == "lower" else -1.0
             gain = sign * (parent["median"] - change["median"])
             iqr = parent["q3"] - parent["q1"]
-            if runs < 10:
+            if failed:
+                shown = "change runs failed"
+            elif iqr > spec["bound"] * parent["median"] and not s["separated"]:
+                shown = f"unresolved: the parent's IQR exceeds its bound of {spec['bound']:.0%}"
+            elif runs < 10:
                 shown = "too few pairs to claim a gain"
             else:
                 shown = "gain shown" if wins >= 0.9 * runs and gain > iqr else "no gain shown"
@@ -150,7 +171,6 @@ def main(argv: list[str] | None = None, runner=bench_run) -> int:
     ap.add_argument("--label", required=True, help="names the output, BENCH_<label>.json")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", type=_seeds, required=True, help="A-B or a comma-separated list; one pair each")
-    ap.add_argument("--seconds", type=float, default=15.0)
     ap.add_argument("--out", type=Path, help="output file (default: BENCH_<label>.json in the change tree)")
     ap.add_argument("--what", help="what the change does")
     ap.add_argument("--claim", help='the gain claimed (default "none")')
@@ -162,7 +182,7 @@ def main(argv: list[str] | None = None, runner=bench_run) -> int:
     doc = json.loads(out.read_text()) if out.exists() else {"rounds": {}}
     doc.update(
         label=args.label,
-        command=_command(args.seconds),
+        command=COMMAND,
         machine=f"{os.cpu_count()}-core {platform.machine()} {platform.system()}, Python {platform.python_version()}, "
         "BLAS pinned to one thread by bench/run.py",
         order=ORDER,
@@ -173,14 +193,14 @@ def main(argv: list[str] | None = None, runner=bench_run) -> int:
         given = getattr(args, key)
         doc[key] = given if given is not None else doc.get(key, default)
     old = doc["rounds"].setdefault(args.workload, {side: [] for side in SIDES})
-    new = run_pairs({"parent": args.parent, "change": args.change}, args.workload, args.seeds,
-                    args.seconds, metrics, runner, start=len(old["parent"]) + 1)
+    new = run_pairs({"parent": args.parent, "change": args.change}, args.workload, args.seeds, metrics, runner,
+                    start=len(old["parent"]) + 1)
     for side in SIDES:
         old[side] += new[side]
     doc["summary"] = summarize(doc["rounds"], metrics)
     keys = ("label", "what", "command", "machine", "order", "quartiles", "claim", "rounds", "summary", "note")
     out.write_text(json.dumps({key: doc[key] for key in keys}, indent=1) + "\n")
-    print("\n".join(verdicts(doc["summary"], metrics)))
+    print("\n".join(verdicts(doc["rounds"], doc["summary"], metrics)))
     return 0
 
 
